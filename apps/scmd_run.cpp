@@ -20,7 +20,8 @@
 //   steps            MD steps (default 100)
 //   thermostat_tau_fs  Berendsen coupling time; 0 (default) = NVE
 //   threads          intra-process enumeration threads (default 1)
-//   ranks            > 1 runs the threaded message-passing cluster (NVE
+//   ranks            > 1 runs that many in-process ranks, one thread each,
+//                    through the same per-rank driver as tcp runs (NVE
 //                    only; thermostat requires ranks = 1)
 //   dense_fraction   > 0 builds the two-phase (dense slab + vapor) silica
 //                    system with this atom fraction squashed into the
@@ -54,7 +55,7 @@
 //                    checkpoint (step counter, RNG, thermostat,
 //                    decomposition, tuple-cache epoch) after every K
 //                    completed steps into checkpoint_dir (default 0 =
-//                    off; docs/DURABILITY.md).  Serial and tcp runs.
+//                    off; docs/DURABILITY.md).
 //   checkpoint_dir   snapshot directory (required with checkpoint_every)
 //   checkpoint_retain  snapshots kept before pruning oldest (default 3)
 //   restore          off (default) | auto | <path> — resume from the
@@ -95,12 +96,12 @@
 //   recv_timeout_s   tcp: recv/collective wait bound in seconds before
 //                    the run fails with an error; 0 = wait forever
 //                    (default 60)
-//   status_port      tcp, rank 0: serve a live run-status snapshot on
-//                    this TCP port (0 picks an ephemeral port; the bound
-//                    port is printed).  Poll it with tools/scmd_top.py.
-//                    Omit the key to disable the monitor.  Safe to pass
-//                    to every rank (launch_tcp.sh does) — only rank 0
-//                    binds it.
+//   status_port      parallel runs, rank 0: serve a live run-status
+//                    snapshot on this TCP port (0 picks an ephemeral
+//                    port; the bound port is printed).  Poll it with
+//                    tools/scmd_top.py.  Omit the key to disable the
+//                    monitor.  Safe to pass to every tcp rank
+//                    (launch_tcp.sh does) — only rank 0 binds it.
 
 #include <cstdio>
 #include <memory>
@@ -199,9 +200,6 @@ int run(const std::string& path,
     SCMD_REQUIRE(!cfg.has("rank") && !cfg.has("nranks") &&
                      !cfg.has("rendezvous"),
                  "rank/nranks/rendezvous need transport=tcp");
-    SCMD_REQUIRE(!cfg.has("status_port"),
-                 "status_port needs transport=tcp (the monitor serves a "
-                 "distributed run's rank 0)");
   }
   // In a TCP run only rank 0 reports and writes artifacts.
   const bool root = !tcp || tcp_rank == 0;
@@ -218,8 +216,7 @@ int run(const std::string& path,
 
   // Durability (docs/DURABILITY.md): periodic full-state snapshots, a
   // crash-recoverable write-ahead log, and (tcp) supervised rank-failure
-  // recovery.  The in-process cluster has no dead-peer detection, so
-  // durability keys are serial/tcp only.
+  // recovery.
   const int checkpoint_every =
       static_cast<int>(cfg.get_int("checkpoint_every", 0));
   const std::string checkpoint_dir = cfg.get("checkpoint_dir", "");
@@ -233,12 +230,8 @@ int run(const std::string& path,
   SCMD_REQUIRE(restore == "off" || !checkpoint_dir.empty() ||
                    (restore != "auto" && !restore.empty()),
                "restore=auto needs checkpoint_dir");
-  if (ranks > 1) {
-    SCMD_REQUIRE(checkpoint_every == 0 && restore == "off" &&
-                     !cfg.has("wal") && max_recoveries == 0,
-                 "durability keys (checkpoint_every/restore/wal/"
-                 "max_recoveries) need transport=tcp or ranks=1");
-  }
+  // The supervisor rebuilds one rank's transport per attempt, which
+  // only a process-per-rank backend supports.
   SCMD_REQUIRE(max_recoveries == 0 || tcp,
                "max_recoveries needs transport=tcp");
   // Declared before the metrics registry: the registry may hold a sink
@@ -350,7 +343,7 @@ int run(const std::string& path,
                   status->port(), status->port());
       std::fflush(stdout);
     }
-    // Durability plumbing for the distributed driver.
+    // Durability plumbing (rank 0 owns the files).
     pcfg.durability.checkpoint_every = checkpoint_every;
     pcfg.durability.checkpoint_dir = checkpoint_dir;
     pcfg.durability.checkpoint_retain = checkpoint_retain;
@@ -426,6 +419,8 @@ int run(const std::string& path,
   } else {
     SCMD_REQUIRE(balance == "off",
                  "balance needs a parallel run (set ranks > 1)");
+    SCMD_REQUIRE(!cfg.has("status_port"),
+                 "status_port needs a parallel run (set ranks > 1)");
 
     // Serial durability: restore replaces the built system *before* the
     // engine primes forces from it, so the resumed trajectory continues

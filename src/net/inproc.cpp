@@ -21,11 +21,6 @@ InProcTransport& Cluster::transport(int rank) {
 
 void Cluster::send(int src, int dst, int tag, Bytes payload) {
   SCMD_REQUIRE(dst >= 0 && dst < num_ranks_, "send to invalid rank");
-  {
-    MutexLock lk(stats_m_);
-    ++total_messages_;
-    total_bytes_ += payload.size();
-  }
   Mailbox& box = boxes_[static_cast<std::size_t>(dst)];
   {
     MutexLock lk(box.m);
@@ -83,28 +78,11 @@ double Cluster::allreduce_sum(double value) { return reduce(value, false); }
 
 double Cluster::allreduce_max(double value) { return reduce(value, true); }
 
-std::uint64_t Cluster::total_messages() const {
-  MutexLock lk(stats_m_);
-  return total_messages_;
-}
-
-std::uint64_t Cluster::total_bytes() const {
-  MutexLock lk(stats_m_);
-  return total_bytes_;
-}
-
 std::uint64_t Cluster::mailbox_high_water(int rank) const {
   SCMD_REQUIRE(rank >= 0 && rank < num_ranks_, "watermark for invalid rank");
   const Mailbox& box = boxes_[static_cast<std::size_t>(rank)];
   MutexLock lk(box.m);
   return box.high_water;
-}
-
-std::uint64_t Cluster::max_mailbox_depth() const {
-  std::uint64_t max_depth = 0;
-  for (int r = 0; r < num_ranks_; ++r)
-    max_depth = std::max(max_depth, mailbox_high_water(r));
-  return max_depth;
 }
 
 }  // namespace scmd

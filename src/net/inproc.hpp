@@ -57,14 +57,8 @@ class Cluster {
   /// Max reduction over all ranks.
   double allreduce_max(double value);
 
-  /// Cumulative message statistics (for tests/diagnostics).
-  std::uint64_t total_messages() const;
-  std::uint64_t total_bytes() const;
-
   /// High watermark of messages queued-but-unreceived in rank's mailbox.
   std::uint64_t mailbox_high_water(int rank) const;
-  /// Max of mailbox_high_water over all ranks.
-  std::uint64_t max_mailbox_depth() const;
 
  private:
   struct Mailbox {
@@ -90,10 +84,6 @@ class Cluster {
   double coll_acc_ SCMD_GUARDED_BY(coll_m_) = 0.0;
   double coll_result_ SCMD_GUARDED_BY(coll_m_) = 0.0;
   bool coll_started_ SCMD_GUARDED_BY(coll_m_) = false;
-
-  mutable Mutex stats_m_;
-  std::uint64_t total_messages_ SCMD_GUARDED_BY(stats_m_) = 0;
-  std::uint64_t total_bytes_ SCMD_GUARDED_BY(stats_m_) = 0;
 };
 
 /// One rank's Transport endpoint onto a Cluster.

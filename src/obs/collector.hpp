@@ -67,7 +67,7 @@ class TelemetryCollector {
   /// timestamps to land in rank 0's session timebase.  `uncertainty_us`
   /// is the estimator's error bound (half the best round-trip), kept for
   /// status reporting and tests.  Defaults to 0 for every rank — correct
-  /// for the in-process driver, where all ranks share one session.
+  /// for rank 0 itself, whose session is the merged timebase.
   void set_clock(int rank, double offset_us, double uncertainty_us);
   double clock_offset_us(int rank) const;
   double clock_uncertainty_us(int rank) const;
@@ -84,12 +84,6 @@ class TelemetryCollector {
   /// arrive in step order (the transport guarantees this per (src,
   /// tag)); ranks may interleave arbitrarily.
   void ingest(const TelemetryFrame& frame);
-
-  /// Feed phase histograms (and slow-step tracking, lane = event tid)
-  /// from spans that are *already* in the merged session — the
-  /// in-process driver's path, where all ranks record into one session
-  /// directly and re-recording them would duplicate the trace.
-  void observe_events(const std::vector<TraceEvent>& events);
 
   /// Emit the final record if the cadence missed it (the old gather
   /// always emitted the last step) and flag any rank that never

@@ -4,6 +4,8 @@
 #include <thread>
 #include <vector>
 
+#include "net/inproc.hpp"
+
 namespace scmd {
 
 void run_cluster(int num_ranks, const std::function<void(Comm&)>& fn) {
@@ -15,7 +17,7 @@ void run_cluster(int num_ranks, const std::function<void(Comm&)>& fn) {
   for (int r = 0; r < num_ranks; ++r) {
     threads.emplace_back([&, r] {
       try {
-        Comm comm(cluster, r);
+        Comm comm(cluster.transport(r));
         fn(comm);
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();

@@ -16,7 +16,6 @@
 
 #include <functional>
 
-#include "net/inproc.hpp"
 #include "net/transport.hpp"
 
 namespace scmd {
@@ -25,8 +24,6 @@ namespace scmd {
 class Comm {
  public:
   explicit Comm(Transport& transport) : transport_(&transport) {}
-  /// Convenience: bind to rank's endpoint of an in-process cluster.
-  Comm(Cluster& cluster, int rank) : transport_(&cluster.transport(rank)) {}
 
   int rank() const { return transport_->rank(); }
   int num_ranks() const { return transport_->num_ranks(); }
@@ -47,8 +44,9 @@ class Comm {
   Transport* transport_;
 };
 
-/// Run `fn` once per rank on its own thread over an in-process cluster;
-/// rethrows the first rank exception after all threads join.
+/// Run `fn` once per rank on its own thread, each over its endpoint of
+/// one in-process Cluster (net/inproc.hpp); rethrows the first rank
+/// exception after all threads join.
 void run_cluster(int num_ranks, const std::function<void(Comm&)>& fn);
 
 }  // namespace scmd

@@ -1,9 +1,7 @@
 #include "parallel/parallel_engine.hpp"
 
 #include <cstdint>
-#include <exception>
 #include <optional>
-#include <thread>
 #include <type_traits>
 
 #include "check/invariant.hpp"
@@ -63,19 +61,36 @@ void accumulate_max_rank(EngineCounters& max_rank, const EngineCounters& c) {
   maxu(max_rank.bytes_written_back, c.bytes_written_back);
 }
 
-obs::TelemetryCollector::Config collector_config(
-    int num_ranks, int max_n, bool balancing,
-    const ParallelRunConfig& config, std::size_t num_records,
-    obs::TraceSession* merged_trace) {
-  obs::TelemetryCollector::Config cc;
-  cc.num_ranks = num_ranks;
-  cc.max_n = max_n;
-  cc.balancing = balancing;
-  cc.metrics_every = config.metrics_every;
-  cc.num_records = static_cast<long long>(num_records);
-  cc.metrics = config.metrics;
-  cc.merged_trace = merged_trace;
-  return cc;
+/// Collective gather of every rank's owned atoms onto rank 0 by gid:
+/// peers send theirs on `tag`, rank 0 writes its own and every peer's
+/// into `dst` (left untouched on other ranks).  Snapshots and the
+/// end-of-run gather both go through here.
+void gather_atoms(Comm& comm, const RankEngine& engine, int tag,
+                  ParticleSystem& dst) {
+  const RankState& st = engine.state();
+  const auto forces = engine.owned_forces();
+  std::vector<AtomWire> mine(static_cast<std::size_t>(st.num_owned()));
+  for (std::size_t i = 0; i < mine.size(); ++i)
+    mine[i] = AtomWire{st.gid[i], st.pos[i], st.vel[i], forces[i]};
+  if (comm.rank() != 0) {
+    comm.send(0, tag, pack(mine));
+    return;
+  }
+  auto place = [&dst](const std::vector<AtomWire>& atoms) {
+    for (const AtomWire& a : atoms) {
+      const auto g = static_cast<std::size_t>(a.gid);
+      dst.positions()[g] = a.pos;
+      dst.velocities()[g] = a.vel;
+      dst.forces()[g] = a.force;
+    }
+  };
+  place(mine);
+  for (int r = 1; r < comm.num_ranks(); ++r) {
+    const auto atoms = unpack<AtomWire>(comm.recv(r, tag));
+    SCMD_REQUIRE(wire_gids_valid(atoms, dst.positions().size()),
+                 "atom gather frame carries an out-of-range gid");
+    place(atoms);
+  }
 }
 
 }  // namespace
@@ -106,164 +121,20 @@ ParallelRunResult run_parallel_md(ParticleSystem& sys,
                                   const std::string& strategy_name,
                                   const ProcessGrid& pgrid,
                                   const ParallelRunConfig& config) {
-  const Decomposition decomp(sys.box(), pgrid);
-  const auto strategy =
-      make_strategy(strategy_name, field, config.measure_force_set);
-  std::vector<RankState> initial = scatter_atoms(sys, decomp);
-
+  // Every rank runs run_parallel_md_rank on its own thread and
+  // in-process endpoint.  Rank 0 scatters from (and gathers into) `sys`
+  // itself; the others start from private copies of it.
   const int P = pgrid.num_ranks();
-  std::vector<EngineCounters> rank_counters(static_cast<std::size_t>(P));
-  std::vector<double> rank_energy(static_cast<std::size_t>(P), 0.0);
-
-  // Per-step per-rank telemetry records for the collector.  Slot s=0 is
-  // the initial force pass; each rank writes only its own column, so no
-  // synchronization is needed beyond the final join.
-  const bool collect_steps = config.metrics != nullptr;
-  const std::size_t num_records =
-      static_cast<std::size_t>(config.num_steps) + 1;
-  std::vector<std::vector<obs::TelemetryStepRecord>> step_records;
-  if (collect_steps) {
-    step_records.assign(
-        num_records,
-        std::vector<obs::TelemetryStepRecord>(static_cast<std::size_t>(P)));
-  }
-
-  // The threads of one process share one session, so the trace is merged
-  // by construction.  Phase histograms are derived from its spans: with
-  // metrics on but no trace requested, an internal session feeds them.
-  obs::TraceSession internal_trace;
-  obs::TraceSession* trace =
-      config.trace != nullptr ? config.trace
-                              : (collect_steps ? &internal_trace : nullptr);
-
-  // Per-step balance outcomes, written by rank 0 only (the balancer's
-  // view is collectively agreed, so one rank's copy is the cluster's).
-  const bool balancing = static_cast<bool>(config.make_balancer);
-  std::vector<BalanceStepInfo> step_balance;
-  if (collect_steps && balancing) step_balance.assign(num_records, {});
-  int rebalances = 0;
-  double last_ratio = 0.0;
-
-  // Gather buffers written by each rank for its own atoms (disjoint gids).
-  const std::size_t N = static_cast<std::size_t>(sys.num_atoms());
-  std::vector<Vec3> out_pos(N), out_vel(N), out_force(N);
-
-  Cluster cluster(P);
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(P));
-  threads.reserve(static_cast<std::size_t>(P));
-  for (int r = 0; r < P; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        // Rank-tagged spans: every SCMD_TRACE below this binding (halo
-        // import, search, write-back, ...) lands on lane tid = r.
-        obs::bind_thread(trace, r);
-        // Invariant-violation reports name the failing rank.
-        check::bind_rank(r);
-        Comm comm(cluster, r);
-        RankEngineConfig rc;
-        rc.dt = config.dt;
-        rc.measure_force_set = config.measure_force_set;
-        rc.collect_cell_costs = balancing;
-        rc.tuple_cache = config.tuple_cache;
-        RankEngine engine(comm, decomp, field, *strategy, rc);
-        std::unique_ptr<RankBalancer> balancer;
-        if (balancing) {
-          balancer = config.make_balancer(r);
-          engine.set_balancer(balancer.get());
-        }
-        engine.set_atoms(std::move(initial[static_cast<std::size_t>(r)]));
-        EngineCounters prev;
-        auto record = [&](std::size_t s) {
-          obs::TelemetryStepRecord& rec =
-              step_records[s][static_cast<std::size_t>(r)];
-          rec.step = static_cast<long long>(s);
-          rec.potential_energy = engine.potential_energy();
-          rec.work = engine.counters().delta_since(prev);
-          rec.transport = comm.transport().stats();
-          prev = engine.counters();
-        };
-        engine.compute_forces();
-        if (collect_steps) record(0);
-        for (int s = 0; s < config.num_steps; ++s) {
-          engine.step();
-          if (balancer && r == 0) {
-            const BalanceStepInfo& info = balancer->last_step();
-            if (info.rebalanced) ++rebalances;
-            if (info.ratio > 0.0) last_ratio = info.ratio;
-            if (collect_steps)
-              step_balance[static_cast<std::size_t>(s) + 1] = info;
-          }
-          if (collect_steps) record(static_cast<std::size_t>(s) + 1);
-        }
-
-        rank_energy[static_cast<std::size_t>(r)] = engine.potential_energy();
-        rank_counters[static_cast<std::size_t>(r)] = engine.counters();
-        const RankState& st = engine.state();
-        const auto f = engine.owned_forces();
-        for (int i = 0; i < st.num_owned(); ++i) {
-          const std::size_t g =
-              static_cast<std::size_t>(st.gid[static_cast<std::size_t>(i)]);
-          out_pos[g] = st.pos[static_cast<std::size_t>(i)];
-          out_vel[g] = st.vel[static_cast<std::size_t>(i)];
-          out_force[g] = f[static_cast<std::size_t>(i)];
-        }
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-
-  // Copy the gathered state back into the system.
-  for (std::size_t i = 0; i < N; ++i) {
-    sys.positions()[i] = out_pos[i];
-    sys.velocities()[i] = out_vel[i];
-    sys.forces()[i] = out_force[i];
-  }
-
+  std::vector<ParticleSystem> copies(static_cast<std::size_t>(P - 1), sys);
   ParallelRunResult result;
-  for (int r = 0; r < P; ++r) {
-    const EngineCounters& c = rank_counters[static_cast<std::size_t>(r)];
-    result.potential_energy += rank_energy[static_cast<std::size_t>(r)];
-    result.total += c;
-    accumulate_max_rank(result.max_rank, c);
-  }
-  result.runtime_messages = cluster.total_messages();
-  result.runtime_bytes = cluster.total_bytes();
-  result.rebalances = rebalances;
-  result.last_balance_ratio = last_ratio;
-  result.steps_completed = config.num_steps;
-
-  // Replay the per-rank records through the same collector the
-  // distributed driver streams into live: cluster totals, the per-rank
-  // imbalance summary, per-step comm.transport.* deltas, and the
-  // span-derived phase_hist.* channels all come out of one code path.
-  if (collect_steps) {
-    obs::TelemetryCollector collector(collector_config(
-        P, field.max_n(), balancing, config, num_records, nullptr));
-    if (balancing) {
-      for (std::size_t s = 0; s < num_records; ++s) {
-        const BalanceStepInfo& b = step_balance[s];
-        collector.set_balance(static_cast<long long>(s), b.ratio,
-                              b.rebalanced, b.predicted_ratio,
-                              b.migrated_atoms);
-      }
-    }
-    collector.observe_events(trace->events());
-    for (int r = 0; r < P; ++r) {
-      obs::TelemetryFrame frame;
-      frame.rank = r;
-      frame.steps.reserve(num_records);
-      for (std::size_t s = 0; s < num_records; ++s)
-        frame.steps.push_back(step_records[s][static_cast<std::size_t>(r)]);
-      collector.ingest(frame);
-    }
-    collector.finish();
-  }
+  run_cluster(P, [&](Comm& comm) {
+    const int r = comm.rank();
+    ParticleSystem& own =
+        r == 0 ? sys : copies[static_cast<std::size_t>(r - 1)];
+    ParallelRunResult res =
+        run_parallel_md_rank(own, field, strategy_name, pgrid, config, comm);
+    if (r == 0) result = std::move(res);
+  });
   return result;
 }
 
@@ -358,6 +229,7 @@ ParallelRunResult run_parallel_md_rank(ParticleSystem& sys,
   obs::bind_thread(telemetry ? &local_trace : config.trace, rank);
   check::bind_rank(rank);
 
+  const bool balancing = static_cast<bool>(config.make_balancer);
   std::optional<obs::TelemetryCollector> collector;
   if (telemetry) {
     // Bootstrap clock sync: offsets map each rank's session time into
@@ -370,10 +242,14 @@ ParallelRunResult run_parallel_md_rank(ParticleSystem& sys,
       // Records are 0-based within this attempt; a resumed run tells the
       // collector the global offset so emitted step numbers continue
       // where the pre-failure run left off.
-      obs::TelemetryCollector::Config cc = collector_config(
-          P, field.max_n(), static_cast<bool>(config.make_balancer), config,
-          static_cast<std::size_t>(config.num_steps - start_step) + 1,
-          config.trace);
+      obs::TelemetryCollector::Config cc;
+      cc.num_ranks = P;
+      cc.max_n = field.max_n();
+      cc.balancing = balancing;
+      cc.metrics_every = config.metrics_every;
+      cc.num_records = config.num_steps - start_step + 1;
+      cc.metrics = config.metrics;
+      cc.merged_trace = config.trace;
       cc.step_offset = start_step;
       cc.recoveries = dur.attempt;
       collector.emplace(cc);
@@ -384,7 +260,6 @@ ParallelRunResult run_parallel_md_rank(ParticleSystem& sys,
     }
   }
 
-  const bool balancing = static_cast<bool>(config.make_balancer);
   RankEngineConfig rc;
   rc.dt = config.dt;
   rc.measure_force_set = config.measure_force_set;
@@ -436,42 +311,12 @@ ParallelRunResult run_parallel_md_rank(ParticleSystem& sys,
   // which assembles the global state by gid onto a copy of `sys` (types
   // and masses never change) and persists it crash-safely.
   long long snapshots_written = 0;
-  auto pack_owned = [&] {
-    const RankState& st = engine.state();
-    const auto forces = engine.owned_forces();
-    std::vector<AtomWire> atoms(static_cast<std::size_t>(st.num_owned()));
-    for (int i = 0; i < st.num_owned(); ++i) {
-      auto& a = atoms[static_cast<std::size_t>(i)];
-      a.gid = st.gid[static_cast<std::size_t>(i)];
-      a.pos = st.pos[static_cast<std::size_t>(i)];
-      a.vel = st.vel[static_cast<std::size_t>(i)];
-      a.force = forces[static_cast<std::size_t>(i)];
-    }
-    return atoms;
-  };
   auto snapshot = [&](long long completed_steps) {
     SCMD_TRACE("ckpt.snapshot");
-    if (!root) {
-      comm.send(0, tags::kSnapshotAtoms, pack(pack_owned()));
-      return;
-    }
     ckpt::CheckpointData data;
-    data.system = sys;
-    auto place = [&](const std::vector<AtomWire>& atoms) {
-      for (const AtomWire& a : atoms) {
-        const int g = static_cast<int>(a.gid);
-        data.system.positions()[g] = a.pos;
-        data.system.velocities()[g] = a.vel;
-        data.system.forces()[g] = a.force;
-      }
-    };
-    place(pack_owned());
-    for (int r = 1; r < P; ++r) {
-      const auto atoms = unpack<AtomWire>(comm.recv(r, tags::kSnapshotAtoms));
-      SCMD_REQUIRE(wire_gids_valid(atoms, data.system.positions().size()),
-                   "snapshot gather frame carries an out-of-range gid");
-      place(atoms);
-    }
+    if (root) data.system = sys;
+    gather_atoms(comm, engine, tags::kSnapshotAtoms, data.system);
+    if (!root) return;
     data.clock.step = completed_steps;
     data.clock.total_steps = config.num_steps;
     data.clock.dt = config.dt;
@@ -573,45 +418,19 @@ ParallelRunResult run_parallel_md_rank(ParticleSystem& sys,
   result.abort_reason = abort_reason;
   result.steps_completed = steps_done;
 
-  // Gather counters and the final atom state to rank 0 on the
-  // registered gather channels (net/tags.hpp).  (Per-step metrics used
-  // to be gathered here too; they now stream live through the telemetry
-  // channel above.)
-
-  const RankState& st = engine.state();
-  const auto forces = engine.owned_forces();
-  std::vector<AtomWire> my_atoms(static_cast<std::size_t>(st.num_owned()));
-  for (int i = 0; i < st.num_owned(); ++i) {
-    auto& a = my_atoms[static_cast<std::size_t>(i)];
-    a.gid = st.gid[static_cast<std::size_t>(i)];
-    a.pos = st.pos[static_cast<std::size_t>(i)];
-    a.vel = st.vel[static_cast<std::size_t>(i)];
-    a.force = forces[static_cast<std::size_t>(i)];
-  }
-
+  // Gather the final atom state, counters and transport statistics to
+  // rank 0 on the registered gather channels (net/tags.hpp).
+  gather_atoms(comm, engine, tags::kGatherState, sys);
+  result.total = engine.counters();
   if (root) {
-    result.total = engine.counters();
     accumulate_max_rank(result.max_rank, engine.counters());
     TransportStats agg = comm.transport().stats();
-    auto place = [&](const std::vector<AtomWire>& atoms) {
-      for (const AtomWire& a : atoms) {
-        const int g = static_cast<int>(a.gid);
-        sys.positions()[g] = a.pos;
-        sys.velocities()[g] = a.vel;
-        sys.forces()[g] = a.force;
-      }
-    };
-    place(my_atoms);
     for (int r = 1; r < P; ++r) {
       const auto counters =
           unpack<EngineCounters>(comm.recv(r, tags::kGatherCounters));
       SCMD_REQUIRE(counters.size() == 1, "malformed counters gather");
       result.total += counters[0];
       accumulate_max_rank(result.max_rank, counters[0]);
-      const auto atoms = unpack<AtomWire>(comm.recv(r, tags::kGatherState));
-      SCMD_REQUIRE(wire_gids_valid(atoms, sys.positions().size()),
-                   "state gather frame carries an out-of-range gid");
-      place(atoms);
       const auto stats = unpack<TransportStats>(comm.recv(r, tags::kGatherStats));
       SCMD_REQUIRE(stats.size() == 1, "malformed stats gather");
       agg += stats[0];
@@ -619,10 +438,8 @@ ParallelRunResult run_parallel_md_rank(ParticleSystem& sys,
     result.runtime_messages = agg.messages_sent;
     result.runtime_bytes = agg.bytes_sent;
   } else {
-    result.total = engine.counters();
     comm.send(0, tags::kGatherCounters,
               pack(std::vector<EngineCounters>{engine.counters()}));
-    comm.send(0, tags::kGatherState, pack(my_atoms));
     comm.send(0, tags::kGatherStats,
               pack(std::vector<TransportStats>{comm.transport().stats()}));
   }

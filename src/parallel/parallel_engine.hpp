@@ -30,7 +30,7 @@ namespace ckpt {
 class WalWriter;
 }
 
-/// Durability options for the distributed driver (docs/DURABILITY.md).
+/// Durability options for a parallel run (docs/DURABILITY.md).
 /// Collective: every rank must pass identical values.  Only rank 0
 /// touches the checkpoint directory and WAL — peers contribute their
 /// atoms to rank 0's snapshot over reserved tags (src/ckpt) and receive
@@ -65,21 +65,21 @@ struct ParallelRunConfig {
   bool measure_force_set = false;
 
   /// Optional observability hooks.  `trace` receives rank-tagged phase
-  /// spans (tid = rank); in the distributed driver it is rank 0's
-  /// *merged* session — every rank streams its spans there, clock-aligned
-  /// into rank 0's timebase (one lane per rank).  `metrics` receives one
-  /// record per MD step (emitted every `metrics_every` steps) with
-  /// cluster totals, the per-rank max/avg imbalance summary (Eq. 33
-  /// import volume), per-step comm.transport.* deltas, and log-bucketed
-  /// phase_hist.* latency histograms.  Both null by default — the run
-  /// then pays no instrumentation cost.
+  /// spans (tid = rank): it is rank 0's *merged* session — every rank
+  /// streams its spans there, clock-aligned into rank 0's timebase (one
+  /// lane per rank).  `metrics` receives one record per MD step (emitted
+  /// every `metrics_every` steps) with cluster totals, the per-rank
+  /// max/avg imbalance summary (Eq. 33 import volume), per-step
+  /// comm.transport.* deltas, and log-bucketed phase_hist.* latency
+  /// histograms.  Both null by default — the run then pays no
+  /// instrumentation cost.
   obs::TraceSession* trace = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   int metrics_every = 1;
 
-  /// Live run monitor (distributed driver, honored on rank 0): when set,
-  /// a status snapshot is published after every finalized step for the
-  /// status socket to serve (net/status_server.hpp, tools/scmd_top.py).
+  /// Live run monitor (honored on rank 0): when set, a status snapshot
+  /// is published after every finalized step for the status socket to
+  /// serve (net/status_server.hpp, tools/scmd_top.py).
   StatusServer* status = nullptr;
 
   /// Dynamic load balancing: when set, each rank constructs its balancer
@@ -93,19 +93,18 @@ struct ParallelRunConfig {
   /// collective across ranks.
   TupleCacheConfig tuple_cache;
 
-  /// Checkpoint/restore + WAL (distributed driver only; the in-process
-  /// thread driver ignores it — durability there is the serial driver's
-  /// job).
+  /// Checkpoint/restore + WAL.
   DurabilityConfig durability;
 
-  /// Cooperative early stop (distributed driver only).  When set, every
-  /// rank polls it once per completed step and the cluster takes the
-  /// max over ranks — a non-zero return on *any* rank stops the whole
-  /// run at that step boundary, with the gathered state and telemetry
-  /// reflecting the steps actually completed.  The returned value is
-  /// reported as ParallelRunResult::abort_reason (serve uses 1 =
-  /// cancelled, 2 = walltime cap).  Either every rank sets this or none
-  /// does — the per-step reduction is collective.
+  /// Cooperative early stop.  When set, every rank polls it once per
+  /// completed step and the cluster takes the max over ranks — a
+  /// non-zero return on *any* rank stops the whole run at that step
+  /// boundary, with the gathered state and telemetry reflecting the
+  /// steps actually completed.  The returned value is reported as
+  /// ParallelRunResult::abort_reason (serve uses 1 = cancelled, 2 =
+  /// walltime cap).  Either every rank sets this or none does — the
+  /// per-step reduction is collective.  Under run_parallel_md every
+  /// rank's thread calls the same function, concurrently.
   std::function<int()> poll_abort;
 };
 
@@ -132,8 +131,10 @@ struct ParallelRunResult {
   long long steps_completed = 0;   ///< MD steps completed by this run
 };
 
-/// Run `num_steps` of MD on `pgrid.num_ranks()` threads.  On return `sys`
-/// holds the final positions/velocities/forces (gathered by global id).
+/// Run `num_steps` of MD on `pgrid.num_ranks()` in-process ranks: one
+/// thread per rank, each running run_parallel_md_rank over its endpoint
+/// of one Cluster.  On return `sys` holds the final positions/velocities/
+/// forces (gathered by global id) and the result is rank 0's.
 /// `strategy_name` is "SC", "FS", or "Hybrid".
 ParallelRunResult run_parallel_md(ParticleSystem& sys, const ForceField& field,
                                   const std::string& strategy_name,

@@ -1,6 +1,6 @@
 // The distributed driver (run_parallel_md_rank) must reproduce the
-// serial engine over ANY transport backend to the same tolerance as the
-// threaded driver: positions to 1e-8, forces to 1e-7.  The TCP case runs
+// serial engine over ANY transport backend to the same tolerance as
+// run_parallel_md: positions to 1e-8, forces to 1e-7.  The TCP case runs
 // a real 4-endpoint mesh over loopback (the multi-process equivalent is
 // the app-level tools/launch_tcp.sh parity test).
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 
+#include "net/inproc.hpp"
 #include "support/error.hpp"
 
 namespace scmd {
@@ -114,26 +115,25 @@ TEST(ClusterTest, ExceptionInRankPropagates) {
 
 TEST(ClusterTest, StatsCountMessagesAndBytes) {
   Cluster cluster(2);
-  Comm c0(cluster, 0);
+  Comm c0(cluster.transport(0));
   c0.send(1, 0, Bytes(16));
   c0.send(1, 0, Bytes(8));
-  EXPECT_EQ(cluster.total_messages(), 2u);
-  EXPECT_EQ(cluster.total_bytes(), 24u);
+  EXPECT_EQ(cluster.transport(0).stats().messages_sent, 2u);
+  EXPECT_EQ(cluster.transport(0).stats().bytes_sent, 24u);
 }
 
 TEST(ClusterTest, MailboxHighWaterTracksBacklog) {
   // The unbounded-mailbox assumption made visible: the watermark is the
   // deepest any rank's queue of undelivered messages ever got.
   Cluster cluster(2);
-  Comm c0(cluster, 0);
-  Comm c1(cluster, 1);
+  Comm c0(cluster.transport(0));
+  Comm c1(cluster.transport(1));
   for (int i = 0; i < 5; ++i) c0.send(1, 1, Bytes(4));
   for (int i = 0; i < 5; ++i) c1.recv(0, 1);
   c0.send(1, 1, Bytes(4));  // depth never exceeds 5 again
   c1.recv(0, 1);
   EXPECT_EQ(cluster.mailbox_high_water(1), 5u);
   EXPECT_EQ(cluster.mailbox_high_water(0), 0u);
-  EXPECT_EQ(cluster.max_mailbox_depth(), 5u);
   // The per-endpoint statistics view agrees.
   EXPECT_EQ(cluster.transport(1).stats().max_mailbox_depth, 5u);
   EXPECT_EQ(cluster.transport(0).stats().messages_sent, 6u);

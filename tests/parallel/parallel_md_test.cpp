@@ -6,6 +6,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <ostream>
 #include <string>
 
 #include "engines/serial_engine.hpp"
@@ -44,6 +45,14 @@ struct Case {
   std::string strategy;
   Int3 pgrid;
 };
+
+// Without this gtest prints a Case as raw bytes, which include the
+// string's heap pointer, so the ctest names gtest_discover_tests builds
+// from the printed value would change from one build or run to the next.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.strategy << " on " << c.pgrid.x << 'x' << c.pgrid.y << 'x'
+      << c.pgrid.z;
+}
 
 class ParallelMdTest : public ::testing::TestWithParam<Case> {};
 
@@ -139,6 +148,36 @@ TEST(ParallelMdTest, EnergyConservedAcrossRanks) {
       run_parallel_md(sys, lj, "SC", ProcessGrid({2, 2, 2}), cfg);
   const double e1 = after.potential_energy + sys.kinetic_energy();
   EXPECT_NEAR(e1, e0, std::abs(e0) * 0.02 + 0.05);
+}
+
+TEST(ParallelMdTest, PollAbortStopsEveryRankAtOneBoundary) {
+  Rng rng(114);
+  const LennardJones lj;
+  const ParticleSystem initial = make_gas(lj, 400, 5.0, 1.0, rng);
+  ParallelRunConfig cfg;
+  cfg.dt = 0.005;
+
+  ParticleSystem plain = initial;
+  cfg.num_steps = 3;
+  run_parallel_md(plain, lj, "SC", ProcessGrid({2, 2, 2}), cfg);
+
+  // Each rank is its own thread, so a thread-local count is that rank's
+  // poll count: every rank asks to stop (reason 2) on its third poll.
+  ParticleSystem sys = initial;
+  cfg.num_steps = 10;
+  cfg.poll_abort = [] {
+    thread_local int polls = 0;
+    return ++polls >= 3 ? 2 : 0;
+  };
+  const ParallelRunResult res =
+      run_parallel_md(sys, lj, "SC", ProcessGrid({2, 2, 2}), cfg);
+  EXPECT_EQ(res.abort_reason, 2);
+  EXPECT_EQ(res.steps_completed, 3);
+  for (int i = 0; i < sys.num_atoms(); ++i) {
+    ASSERT_EQ(sys.positions()[i].x, plain.positions()[i].x) << i;
+    ASSERT_EQ(sys.positions()[i].y, plain.positions()[i].y) << i;
+    ASSERT_EQ(sys.positions()[i].z, plain.positions()[i].z) << i;
+  }
 }
 
 TEST(ParallelMdTest, ImportCountsShrinkWithOctantPattern) {

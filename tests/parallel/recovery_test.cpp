@@ -12,7 +12,6 @@
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -56,35 +55,6 @@ class EnvGuard {
   const char* name_;
 };
 
-/// Run `config` on `ranks` in-process threads of one Cluster; returns
-/// rank 0's gathered system and per-rank results.
-std::vector<ParallelRunResult> run_cluster(
-    std::vector<ParticleSystem>& systems, const ParallelRunConfig& config,
-    int ranks) {
-  const VashishtaSiO2 field;
-  Cluster cluster(ranks);
-  std::vector<ParallelRunResult> results(static_cast<std::size_t>(ranks));
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(ranks));
-  std::vector<std::thread> threads;
-  for (int r = 0; r < ranks; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        Comm comm(cluster.transport(r));
-        results[static_cast<std::size_t>(r)] = run_parallel_md_rank(
-            systems[static_cast<std::size_t>(r)], field, "SC",
-            ProcessGrid::factor(ranks), config, comm);
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  return results;
-}
-
 void expect_positions_match(const ParticleSystem& a, const ParticleSystem& b,
                             double tol) {
   ASSERT_EQ(a.num_atoms(), b.num_atoms());
@@ -97,76 +67,80 @@ void expect_positions_match(const ParticleSystem& a, const ParticleSystem& b,
 }
 
 TEST(RecoveryTest, RestoredRunContinuesTheTrajectory) {
-  const int P = 4;
+  const VashishtaSiO2 field;
+  const ProcessGrid grid = ProcessGrid::factor(4);
   const std::string dir = fresh_dir("scmd_recovery_restore");
 
   // Uninterrupted 10-step reference.
-  std::vector<ParticleSystem> ref_systems;
-  for (int r = 0; r < P; ++r) ref_systems.push_back(build_initial());
+  ParticleSystem ref = build_initial();
   ParallelRunConfig ref_cfg;
   ref_cfg.dt = kDt;
   ref_cfg.num_steps = 10;
-  run_cluster(ref_systems, ref_cfg, P);
+  run_parallel_md(ref, field, "SC", grid, ref_cfg);
 
   // Interrupted run: 6 steps with snapshots every 3.
-  std::vector<ParticleSystem> first_systems;
-  for (int r = 0; r < P; ++r) first_systems.push_back(build_initial());
+  ParticleSystem first_sys = build_initial();
   ParallelRunConfig first_cfg = ref_cfg;
   first_cfg.num_steps = 6;
   first_cfg.durability.checkpoint_every = 3;
   first_cfg.durability.checkpoint_dir = dir;
-  const auto first = run_cluster(first_systems, first_cfg, P);
-  EXPECT_EQ(first[0].snapshots_written, 2);
-  EXPECT_EQ(first[0].restored_step, 0);
+  const ParallelRunResult first =
+      run_parallel_md(first_sys, field, "SC", grid, first_cfg);
+  EXPECT_EQ(first.snapshots_written, 2);
+  EXPECT_EQ(first.restored_step, 0);
 
   // Resumed run: restore the step-6 snapshot, continue to step 10.
-  std::vector<ParticleSystem> resumed_systems;
-  for (int r = 0; r < P; ++r) resumed_systems.push_back(build_initial());
+  ParticleSystem resumed_sys = build_initial();
   ParallelRunConfig resumed_cfg = first_cfg;
   resumed_cfg.num_steps = 10;
   resumed_cfg.durability.restore = true;
-  const auto resumed = run_cluster(resumed_systems, resumed_cfg, P);
-  EXPECT_EQ(resumed[0].restored_step, 6);
+  const ParallelRunResult resumed =
+      run_parallel_md(resumed_sys, field, "SC", grid, resumed_cfg);
+  EXPECT_EQ(resumed.restored_step, 6);
 
-  expect_positions_match(resumed_systems[0], ref_systems[0], 5e-8);
+  expect_positions_match(resumed_sys, ref, 5e-8);
   std::filesystem::remove_all(dir);
 }
 
 TEST(RecoveryTest, ExplicitRestorePathWinsOverLatest) {
-  const int P = 1;
+  const VashishtaSiO2 field;
+  const ProcessGrid grid({1, 1, 1});
   const std::string dir = fresh_dir("scmd_recovery_explicit");
-  std::vector<ParticleSystem> systems{build_initial()};
+  ParticleSystem sys = build_initial();
   ParallelRunConfig cfg;
   cfg.dt = kDt;
   cfg.num_steps = 4;
   cfg.durability.checkpoint_every = 2;
   cfg.durability.checkpoint_dir = dir;
-  run_cluster(systems, cfg, P);  // snapshots at steps 2 and 4
+  run_parallel_md(sys, field, "SC", grid, cfg);  // snapshots at steps 2, 4
 
-  std::vector<ParticleSystem> resumed{build_initial()};
+  ParticleSystem resumed = build_initial();
   ParallelRunConfig rcfg = cfg;
   rcfg.num_steps = 6;
   rcfg.durability.restore = true;
   rcfg.durability.restore_path =
       ckpt::CheckpointDir(dir, 3).path_for_step(2);
-  const auto results = run_cluster(resumed, rcfg, P);
-  EXPECT_EQ(results[0].restored_step, 2);
+  const ParallelRunResult res =
+      run_parallel_md(resumed, field, "SC", grid, rcfg);
+  EXPECT_EQ(res.restored_step, 2);
   std::filesystem::remove_all(dir);
 }
 
 TEST(RecoveryTest, RestoreWithEmptyDirStartsFresh) {
+  const VashishtaSiO2 field;
   const std::string dir = fresh_dir("scmd_recovery_fresh");
   std::filesystem::create_directories(dir);
-  std::vector<ParticleSystem> systems{build_initial()};
+  ParticleSystem sys = build_initial();
   ParallelRunConfig cfg;
   cfg.dt = kDt;
   cfg.num_steps = 3;
   cfg.durability.checkpoint_every = 2;
   cfg.durability.checkpoint_dir = dir;
   cfg.durability.restore = true;  // nothing to restore yet
-  const auto results = run_cluster(systems, cfg, 1);
-  EXPECT_EQ(results[0].restored_step, 0);
-  EXPECT_GT(results[0].snapshots_written, 0);
+  const ParallelRunResult res =
+      run_parallel_md(sys, field, "SC", ProcessGrid({1, 1, 1}), cfg);
+  EXPECT_EQ(res.restored_step, 0);
+  EXPECT_GT(res.snapshots_written, 0);
   std::filesystem::remove_all(dir);
 }
 
