@@ -99,8 +99,7 @@ std::optional<Decomposition> plan_balanced(const ParticleSystem& sys,
   }
 
   const auto limits = width_limits_for(res, reaches);
-  const BalanceSolution sol =
-      solve_balanced_cuts(cost.values(), res, ranks, limits);
+  const BalanceSolution sol = solve_balanced_cuts(cost, ranks, limits);
   if (sol.predicted_ratio < 0.0) return std::nullopt;
   *predicted_ratio = sol.predicted_ratio;
   return Decomposition(sys.box(), ProcessGrid(sol.pgrid_dims), sol.cuts, res,

@@ -1,7 +1,9 @@
 #include "balance/cost_field.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -11,26 +13,51 @@ CostField::CostField(const Box& box, const Int3& res)
     : box_(box), res_(res) {
   SCMD_REQUIRE(res.x >= 1 && res.y >= 1 && res.z >= 1,
                "fine lattice resolution must be positive");
-  values_.assign(static_cast<std::size_t>(res_.volume()), 0.0);
 }
 
 double CostField::total() const {
   double t = 0.0;
-  for (double v : values_) t += v;
+  for (const CostEntry& e : entries_) t += e.value;
   return t;
 }
 
-std::int32_t CostField::bin_of(const Vec3& p) const {
+std::int64_t CostField::bin_of(const Vec3& p) const {
   Int3 b;
   for (int a = 0; a < 3; ++a) {
     const int i = static_cast<int>(p[a] / box_.length(a) *
                                    static_cast<double>(res_[a]));
     b[a] = std::clamp(i, 0, res_[a] - 1);
   }
-  return static_cast<std::int32_t>((static_cast<long long>(b.z) * res_.y +
-                                    b.y) *
-                                       res_.x +
-                                   b.x);
+  return (static_cast<std::int64_t>(b.z) * res_.y + b.y) * res_.x + b.x;
+}
+
+void CostField::add(std::vector<CostEntry> batch) {
+  const long long volume = res_.volume();
+  for (const CostEntry& e : batch) {
+    SCMD_REQUIRE(e.index >= 0 && e.index < volume,
+                 "cost entry indexes outside the fine lattice");
+    SCMD_REQUIRE(std::isfinite(e.value) && e.value >= 0.0,
+                 "cost entry value must be finite and non-negative");
+  }
+  // Both merge steps are stable, so equal indices keep the held value
+  // first and the batch after it in batch order; the fold then sums
+  // them left to right.
+  const auto by_index = [](const CostEntry& a, const CostEntry& b) {
+    return a.index < b.index;
+  };
+  std::stable_sort(batch.begin(), batch.end(), by_index);
+  const auto held = static_cast<std::ptrdiff_t>(entries_.size());
+  entries_.insert(entries_.end(), batch.begin(), batch.end());
+  std::inplace_merge(entries_.begin(), entries_.begin() + held,
+                     entries_.end(), by_index);
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < entries_.size();) {
+    CostEntry sum = entries_[i];
+    for (++i; i < entries_.size() && entries_[i].index == sum.index; ++i)
+      sum.value += entries_[i].value;
+    if (sum.value != 0.0) entries_[out++] = sum;
+  }
+  entries_.resize(out);
 }
 
 void CostField::deposit(const CellDomain& dom,
@@ -40,6 +67,7 @@ void CostField::deposit(const CellDomain& dom,
                "cell cost array does not match the domain's owned brick");
   const Vec3 cl = dom.grid().cell_lengths();
   const auto pos = dom.positions();
+  std::vector<CostEntry> batch;
   for (int z = 0; z < od.z; ++z) {
     for (int y = 0; y < od.y; ++y) {
       for (int x = 0; x < od.x; ++x) {
@@ -51,7 +79,8 @@ void CostField::deposit(const CellDomain& dom,
         if (mid > first) {
           const double share = w / static_cast<double>(mid - first);
           for (int i = first; i < mid; ++i)
-            add(bin_of(box_.wrap(pos[static_cast<std::size_t>(i)])), share);
+            batch.push_back(
+                {bin_of(box_.wrap(pos[static_cast<std::size_t>(i)])), share});
         } else {
           // No chain-start atoms in the cell (its work came from scans
           // that rejected every candidate, or from extended home cells):
@@ -59,20 +88,12 @@ void CostField::deposit(const CellDomain& dom,
           const Int3 g = dom.global_coord(local);
           const Vec3 center{(g.x + 0.5) * cl.x, (g.y + 0.5) * cl.y,
                             (g.z + 0.5) * cl.z};
-          add(bin_of(box_.wrap(center)), w);
+          batch.push_back({bin_of(box_.wrap(center)), w});
         }
       }
     }
   }
-}
-
-std::vector<std::pair<std::int32_t, double>> CostField::sparse() const {
-  std::vector<std::pair<std::int32_t, double>> out;
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    if (values_[i] != 0.0)
-      out.emplace_back(static_cast<std::int32_t>(i), values_[i]);
-  }
-  return out;
+  add(std::move(batch));
 }
 
 Int3 CostField::recommend_res(const std::vector<Int3>& grid_dims) {

@@ -15,9 +15,13 @@
 /// chains rooted there) and deposited at each atom's fine-lattice bin;
 /// cells without start atoms deposit at the cell center so no cost mass
 /// is ever dropped.
+///
+/// The field is sparse: at most one nonzero bin per start atom, against a
+/// lattice whose volume follows the lcm of the grid dimensions (millions
+/// of bins on coprime grids).  Only nonzero bins are stored, and nothing
+/// here allocates or visits res.volume() bins.
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "cell/domain.hpp"
@@ -25,7 +29,16 @@
 
 namespace scmd {
 
-/// Dense cost density over a fine lattice spanning the (wrapped) box.
+/// One nonzero fine bin: its linear index (z * res.y + y) * res.x + x and
+/// its cost.  Also the cost-gather wire record (16 bytes, no padding).
+struct CostEntry {
+  std::int64_t index;
+  double value;
+};
+static_assert(sizeof(CostEntry) == sizeof(std::int64_t) + sizeof(double),
+              "CostEntry goes on the wire as is: no padding bytes");
+
+/// Sparse cost density over a fine lattice spanning the (wrapped) box.
 class CostField {
  public:
   /// `res` must be componentwise positive.
@@ -34,26 +47,26 @@ class CostField {
   const Int3& res() const { return res_; }
   const Box& box() const { return box_; }
 
-  /// Fine-lattice values in [z][y][x] order.
-  const std::vector<double>& values() const { return values_; }
+  /// Nonzero bins in ascending index order, each index once.  Visiting
+  /// them in this order adds the same terms in the same order as a dense
+  /// [z][y][x] sweep, so sums over the field are bit-identical to it.
+  const std::vector<CostEntry>& entries() const { return entries_; }
   double total() const;
 
   /// Linear index of the fine bin containing wrapped position `p`.
-  std::int32_t bin_of(const Vec3& p) const;
+  std::int64_t bin_of(const Vec3& p) const;
 
-  void add(std::int32_t index, double value) {
-    values_[static_cast<std::size_t>(index)] += value;
-  }
+  /// Add a batch of deposits.  Per bin they sum after the value already
+  /// held, in batch order — the order a dense lattice would accumulate
+  /// them in.  Throws scmd::Error for an index outside the lattice or a
+  /// negative or non-finite value (the batch may come off the wire).
+  void add(std::vector<CostEntry> batch);
 
   /// Apportion one domain's accumulated per-owned-cell costs (one entry
   /// per owned cell, [z][y][x], as collected by RankEngine/ForceAccum)
   /// over the chain-start atoms of each cell.
   void deposit(const CellDomain& dom,
                const std::vector<std::uint64_t>& cell_cost);
-
-  /// Nonzero entries as (index, value) pairs — the wire format ranks send
-  /// to the solver rank.
-  std::vector<std::pair<std::int32_t, double>> sparse() const;
 
   /// Recommended fine resolution for a set of cell grids: per axis, twice
   /// the least common multiple of the grid dimensions, so every cell
@@ -63,7 +76,7 @@ class CostField {
  private:
   Box box_;
   Int3 res_;
-  std::vector<double> values_;
+  std::vector<CostEntry> entries_;
 };
 
 }  // namespace scmd

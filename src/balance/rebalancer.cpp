@@ -1,23 +1,22 @@
 #include "balance/rebalancer.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "balance/cost_field.hpp"
-#include "balance/solver.hpp"
 #include "net/tags.hpp"
+#include "obs/trace.hpp"
 #include "support/error.hpp"
 
 namespace scmd {
 
 namespace {
 
-/// Sparse cost entry on the wire (rank -> solver rank).
-struct CostEntry {
-  std::int32_t index;
-  double value;
-};
+/// kAuto: after a re-cut the trigger level rises to
+/// predicted * (1 + kHysteresis), so marginal gains do not re-cut.
+constexpr double kHysteresis = 0.05;
 
 }  // namespace
 
@@ -26,7 +25,6 @@ Rebalancer::Rebalancer(const BalanceConfig& config) : config_(config) {
                "every-K balancing needs a positive period");
   SCMD_REQUIRE(config.threshold > 1.0,
                "balance threshold must exceed 1 (perfect balance)");
-  SCMD_REQUIRE(config.hysteresis >= 0.0, "hysteresis must be non-negative");
   SCMD_REQUIRE(config.min_interval >= 1, "min interval must be positive");
   trigger_level_ = config.threshold;
 }
@@ -65,6 +63,27 @@ void Rebalancer::on_step(Comm& comm, RankEngine& engine) {
 }
 
 void Rebalancer::rebalance(Comm& comm, RankEngine& engine) {
+  std::optional<Decomposition> next;
+  {
+    SCMD_TRACE("balance.plan");
+    next = plan(comm, engine);
+  }
+  last_rebalance_step_ = step_;
+  engine.reset_cell_costs();
+  if (!next) return;  // solver declined; keep the current cuts
+
+  SCMD_TRACE("balance.apply");
+  engine.apply_decomposition(*next);
+  const std::uint64_t sent = engine.settle_atoms();
+  info_.migrated_atoms = static_cast<std::uint64_t>(
+      comm.allreduce_sum(static_cast<double>(sent)));
+  info_.rebalanced = true;
+  trigger_level_ = std::max(config_.threshold,
+                            info_.predicted_ratio * (1.0 + kHysteresis));
+}
+
+std::optional<Decomposition> Rebalancer::plan(Comm& comm,
+                                              RankEngine& engine) {
   const Decomposition& decomp = engine.decomp();
   const ForceStrategy& strategy = engine.strategy();
 
@@ -86,88 +105,111 @@ void Rebalancer::rebalance(Comm& comm, RankEngine& engine) {
     }
     reaches.push_back(gr);
   }
-  Int3 res = config_.fine_res;
-  if (res.x < 1 || res.y < 1 || res.z < 1)
-    res = CostField::recommend_res(dims);
+  const Int3 res = CostField::recommend_res(dims);
 
   // Local measured cost, apportioned onto the fine lattice.
-  CostField local(decomp.box(), res);
+  CostField field(decomp.box(), res);
   for (int n = 2; n <= kMaxTupleLen; ++n) {
     if (!engine.grid_active(n)) continue;
-    local.deposit(engine.domain(n), engine.cell_costs(n));
+    field.deposit(engine.domain(n), engine.cell_costs(n));
   }
 
-  // Gather the sparse fields on rank 0, solve, broadcast the plan as
-  //   [accepted, px, py, pz, predicted, cuts_x..., cuts_y..., cuts_z...].
+  // Gather the sparse entries on rank 0, solve, broadcast the plan.
   const int P = comm.num_ranks();
-  std::vector<double> plan;
+  std::optional<BalanceSolution> sol;
   if (comm.rank() != 0) {
-    std::vector<CostEntry> entries;
-    for (const auto& [idx, val] : local.sparse())
-      entries.push_back({idx, val});
-    comm.send(0, tags::kBalanceCostGather, pack(entries));
-    plan = unpack<double>(comm.recv(0, tags::kBalancePlanBcast));
-    SCMD_REQUIRE(plan.size() >= 5, "malformed balance plan broadcast");
+    comm.send(0, tags::kBalanceCostGather, pack(field.entries()));
+    sol = decode_balance_plan(comm.recv(0, tags::kBalancePlanBcast), P, res);
   } else {
-    std::vector<double> field = local.values();
+    // Other ranks' entries fold in after rank 0's own, in rank order;
+    // CostField::add rejects malformed ones.
     for (int r = 1; r < P; ++r) {
-      const auto entries = unpack<CostEntry>(comm.recv(r, tags::kBalanceCostGather));
-      for (const CostEntry& e : entries) {
-        SCMD_REQUIRE(e.index >= 0 &&
-                         static_cast<std::size_t>(e.index) < field.size(),
-                     "cost-gather entry indexes outside the fine lattice");
-        field[static_cast<std::size_t>(e.index)] += e.value;
+      try {
+        field.add(unpack<CostEntry>(comm.recv(r, tags::kBalanceCostGather)));
+      } catch (const Error& e) {
+        throw Error("balance cost gather from rank " + std::to_string(r) +
+                    ": " + e.what());
       }
     }
-    const auto limits = width_limits_for(res, reaches);
-    const BalanceSolution sol = solve_balanced_cuts(field, res, P, limits);
+    const BalanceSolution solved =
+        solve_balanced_cuts(field, P, width_limits_for(res, reaches));
     // Re-cut only when feasible and predicted to improve on what is
     // currently measured (every-K mode re-cuts whenever feasible).
     const bool accept =
-        sol.predicted_ratio > 0.0 &&
+        solved.predicted_ratio > 0.0 &&
         (config_.mode == BalanceConfig::Mode::kEvery ||
-         sol.predicted_ratio < info_.ratio);
-    plan.push_back(accept ? 1.0 : 0.0);
-    for (int a = 0; a < 3; ++a)
-      plan.push_back(static_cast<double>(sol.pgrid_dims[a]));
-    plan.push_back(sol.predicted_ratio);
-    if (accept) {
-      for (const auto& axis : sol.cuts)
-        for (const int c : axis) plan.push_back(static_cast<double>(c));
-    }
-    for (int r = 1; r < P; ++r) {
-      Bytes payload = pack(plan);
-      comm.send(r, tags::kBalancePlanBcast, std::move(payload));
-    }
+         solved.predicted_ratio < info_.ratio);
+    const Bytes payload = encode_balance_plan(solved, accept);
+    for (int r = 1; r < P; ++r) comm.send(r, tags::kBalancePlanBcast, payload);
+    if (accept) sol = solved;
   }
+  if (!sol) return std::nullopt;
+  info_.predicted_ratio = sol->predicted_ratio;
+  return Decomposition(decomp.box(), ProcessGrid(sol->pgrid_dims), sol->cuts,
+                       res, decomp.align_pgrid());
+}
 
-  last_rebalance_step_ = step_;
-  engine.reset_cell_costs();
-  if (plan[0] == 0.0) return;  // solver declined; keep the current cuts
+Bytes encode_balance_plan(const BalanceSolution& sol, bool accepted) {
+  std::vector<double> plan{accepted ? 1.0 : 0.0};
+  for (int a = 0; a < 3; ++a)
+    plan.push_back(static_cast<double>(sol.pgrid_dims[a]));
+  plan.push_back(sol.predicted_ratio);
+  if (accepted) {
+    for (const auto& axis : sol.cuts)
+      for (const int c : axis) plan.push_back(static_cast<double>(c));
+  }
+  return pack(plan);
+}
 
-  const Int3 pd{static_cast<int>(plan[1]), static_cast<int>(plan[2]),
-                static_cast<int>(plan[3])};
-  const double predicted = plan[4];
-  std::array<std::vector<int>, 3> cuts;
+std::optional<BalanceSolution> decode_balance_plan(const Bytes& payload,
+                                                   int num_ranks,
+                                                   const Int3& res) {
+  const std::vector<double> plan = unpack<double>(payload);
+  SCMD_REQUIRE(plan.size() >= 5,
+               "balance plan: " + std::to_string(plan.size()) +
+                   " values, need at least 5");
+  for (const double v : plan)
+    SCMD_REQUIRE(std::isfinite(v), "balance plan: non-finite value");
+  SCMD_REQUIRE(plan[0] == 0.0 || plan[0] == 1.0,
+               "balance plan: accept flag must be 0 or 1");
+  if (plan[0] == 0.0) {
+    SCMD_REQUIRE(plan.size() == 5,
+                 "balance plan: a declined plan carries no cuts");
+    return std::nullopt;
+  }
+  // Integral in [lo, hi], checked before the cast so it cannot overflow.
+  const auto integral = [](double v, int lo, int hi) {
+    return v == std::floor(v) && v >= lo && v <= hi;
+  };
+  BalanceSolution sol;
+  long long ranks = 1;
+  std::size_t want = 5;
+  for (int a = 0; a < 3; ++a) {
+    const double d = plan[static_cast<std::size_t>(a) + 1];
+    SCMD_REQUIRE(integral(d, 1, num_ranks),
+                 "balance plan: process-grid dims must be integers in [1, " +
+                     std::to_string(num_ranks) + "]");
+    sol.pgrid_dims[a] = static_cast<int>(d);
+    ranks *= sol.pgrid_dims[a];
+    want += static_cast<std::size_t>(sol.pgrid_dims[a]) + 1;
+  }
+  SCMD_REQUIRE(ranks == num_ranks,
+               "balance plan: process grid does not match the rank count");
+  SCMD_REQUIRE(plan.size() == want,
+               "balance plan: " + std::to_string(plan.size()) +
+                   " values, the process grid needs " + std::to_string(want));
+  sol.predicted_ratio = plan[4];
   std::size_t at = 5;
   for (int a = 0; a < 3; ++a) {
-    cuts[static_cast<std::size_t>(a)].resize(static_cast<std::size_t>(pd[a]) +
-                                             1);
-    for (int i = 0; i <= pd[a]; ++i)
-      cuts[static_cast<std::size_t>(a)][static_cast<std::size_t>(i)] =
-          static_cast<int>(plan[at++]);
+    std::vector<int>& cuts = sol.cuts[static_cast<std::size_t>(a)];
+    for (int i = 0; i <= sol.pgrid_dims[a]; ++i) {
+      const double c = plan[at++];
+      SCMD_REQUIRE(integral(c, 0, res[a]),
+                   "balance plan: cuts must be integers on the fine lattice");
+      cuts.push_back(static_cast<int>(c));
+    }
   }
-
-  const Decomposition next(decomp.box(), ProcessGrid(pd), cuts, res,
-                           decomp.align_pgrid());
-  engine.apply_decomposition(next);
-  const std::uint64_t sent = engine.settle_atoms();
-  info_.migrated_atoms = static_cast<std::uint64_t>(
-      comm.allreduce_sum(static_cast<double>(sent)));
-  info_.rebalanced = true;
-  info_.predicted_ratio = predicted;
-  trigger_level_ =
-      std::max(config_.threshold, predicted * (1.0 + config_.hysteresis));
+  return sol;
 }
 
 std::function<std::unique_ptr<RankBalancer>(int rank)> make_rebalancer_factory(

@@ -14,10 +14,10 @@
 ///     threshold, at least `min_interval` steps since the last re-cut,
 ///     with hysteresis against re-cutting for marginal gains;
 ///  3. plan: each rank apportions its per-cell costs onto the global fine
-///     lattice (CostField) and sends the sparse field to rank 0, which
-///     solves for cuts + process-grid factorization (solver.hpp) and
-///     broadcasts the plan — every rank then holds the identical
-///     decomposition;
+///     lattice (CostField) and sends its sparse entries to rank 0, which
+///     merges them in rank order, solves for cuts + process-grid
+///     factorization (solver.hpp) and broadcasts the plan — every rank
+///     then holds the identical decomposition;
 ///  4. apply: RankEngine::apply_decomposition swaps the cuts and rebuilds
 ///     the halo exchange, Migrator::settle routes every atom to its new
 ///     owner (multi-hop), and the per-cell cost counters reset.
@@ -27,8 +27,11 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 
+#include "balance/solver.hpp"
 #include "geom/int3.hpp"
+#include "net/transport.hpp"
 #include "parallel/rank_engine.hpp"
 
 namespace scmd {
@@ -43,10 +46,7 @@ struct BalanceConfig {
   Mode mode = Mode::kAuto;
   int every = 0;            ///< kEvery period in steps
   double threshold = 1.2;   ///< kAuto: re-cut when max/mean exceeds this
-  double hysteresis = 0.05; ///< kAuto: after a re-cut, require the ratio
-                            ///< to beat predicted * (1 + hysteresis)
   int min_interval = 10;    ///< kAuto: min steps between re-cuts
-  Int3 fine_res{0, 0, 0};   ///< cut lattice; 0 = derive from the grids
 };
 
 /// RankBalancer implementation (see rank_engine.hpp).  One instance per
@@ -66,6 +66,10 @@ class Rebalancer final : public RankBalancer {
  private:
   double measure_ratio(Comm& comm, RankEngine& engine) const;
   void rebalance(Comm& comm, RankEngine& engine);
+  /// Deposit, gather on rank 0, solve, broadcast: the accepted
+  /// decomposition on every rank (its predicted ratio in info_), or
+  /// nothing when the solver declined.
+  std::optional<Decomposition> plan(Comm& comm, RankEngine& engine);
 
   BalanceConfig config_;
   BalanceStepInfo info_;
@@ -73,6 +77,20 @@ class Rebalancer final : public RankBalancer {
   int last_rebalance_step_ = 0;
   double trigger_level_ = 0.0;
 };
+
+/// Plan broadcast wire format (doubles): [accepted, px, py, pz, predicted],
+/// followed when accepted by the pgrid_dims[a] + 1 cuts of each axis.
+Bytes encode_balance_plan(const BalanceSolution& sol, bool accepted);
+
+/// Decode a plan broadcast for `num_ranks` ranks on the fine lattice
+/// `res`: the accepted solution, or nothing when the solver declined.
+/// Throws scmd::Error unless the payload is exactly one well-formed plan:
+/// finite values, a 0/1 flag, and when accepted integral dims >= 1 whose
+/// product is `num_ranks` and integral cuts in [0, res[a]] (Decomposition
+/// checks that they increase from 0 to res[a]).
+std::optional<BalanceSolution> decode_balance_plan(const Bytes& payload,
+                                                   int num_ranks,
+                                                   const Int3& res);
 
 /// Factory for ParallelRunConfig::make_balancer.
 std::function<std::unique_ptr<RankBalancer>(int rank)> make_rebalancer_factory(

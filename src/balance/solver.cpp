@@ -1,6 +1,7 @@
 #include "balance/solver.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "support/error.hpp"
@@ -9,36 +10,75 @@ namespace scmd {
 
 namespace {
 
-std::size_t idx3(const Int3& res, int x, int y, int z) {
-  return (static_cast<std::size_t>(z) * res.y + y) * res.x + x;
+/// The field's entries decoded to lattice coordinates, in ascending index
+/// order — decoded once per solve, then swept by every pass.
+struct Sites {
+  Int3 res;
+  std::vector<Int3> at;
+  std::vector<double> value;
+};
+
+Sites decode(const CostField& cost) {
+  Sites s;
+  s.res = cost.res();
+  s.at.reserve(cost.entries().size());
+  s.value.reserve(cost.entries().size());
+  for (const CostEntry& e : cost.entries()) {
+    const std::int64_t row = e.index / s.res.x;
+    s.at.push_back({static_cast<int>(e.index % s.res.x),
+                    static_cast<int>(row % s.res.y),
+                    static_cast<int>(row / s.res.y)});
+    s.value.push_back(e.value);
+  }
+  return s;
 }
 
-int axis_of(int a, int x, int y, int z) {
-  return a == 0 ? x : a == 1 ? y : z;
+/// Part index of every coordinate along one axis of `res` slabs (-1
+/// outside the cuts).
+std::vector<int> part_of(const std::vector<int>& cuts, int res) {
+  std::vector<int> q(static_cast<std::size_t>(res), -1);
+  if (cuts.empty()) return q;
+  SCMD_REQUIRE(cuts.front() >= 0 && cuts.back() <= res,
+               "cuts must lie on the fine lattice");
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i)
+    for (int v = cuts[i]; v < cuts[i + 1]; ++v)
+      q[static_cast<std::size_t>(v)] = static_cast<int>(i);
+  return q;
+}
+
+double evaluate(const Sites& s, const std::array<std::vector<int>, 3>& cuts) {
+  std::array<std::vector<int>, 3> part;
+  std::array<std::size_t, 3> n{};
+  for (std::size_t a = 0; a < 3; ++a) {
+    part[a] = part_of(cuts[a], s.res[static_cast<int>(a)]);
+    n[a] = cuts[a].empty() ? 0 : cuts[a].size() - 1;
+  }
+  // Part totals in (k,j,i) order, each summed over its entries in
+  // ascending index order — the terms and order of a dense sweep.
+  std::vector<double> w(n[0] * n[1] * n[2], 0.0);
+  for (std::size_t e = 0; e < s.at.size(); ++e) {
+    const int i = part[0][static_cast<std::size_t>(s.at[e].x)];
+    const int j = part[1][static_cast<std::size_t>(s.at[e].y)];
+    const int k = part[2][static_cast<std::size_t>(s.at[e].z)];
+    if (i < 0 || j < 0 || k < 0) continue;
+    w[(static_cast<std::size_t>(k) * n[1] + static_cast<std::size_t>(j)) *
+          n[0] +
+      static_cast<std::size_t>(i)] += s.value[e];
+  }
+  double mx = 0.0, sum = 0.0;
+  for (const double p : w) {
+    mx = std::max(mx, p);
+    sum += p;
+  }
+  if (sum <= 0.0) return 1.0;
+  return mx / (sum / static_cast<double>(w.size()));
 }
 
 }  // namespace
 
-double evaluate_cuts(const std::vector<double>& cost, const Int3& res,
+double evaluate_cuts(const CostField& cost,
                      const std::array<std::vector<int>, 3>& cuts) {
-  double mx = 0.0, sum = 0.0;
-  long long parts = 0;
-  for (std::size_t k = 0; k + 1 < cuts[2].size(); ++k) {
-    for (std::size_t j = 0; j + 1 < cuts[1].size(); ++j) {
-      for (std::size_t i = 0; i + 1 < cuts[0].size(); ++i) {
-        double w = 0.0;
-        for (int z = cuts[2][k]; z < cuts[2][k + 1]; ++z)
-          for (int y = cuts[1][j]; y < cuts[1][j + 1]; ++y)
-            for (int x = cuts[0][i]; x < cuts[0][i + 1]; ++x)
-              w += cost[idx3(res, x, y, z)];
-        mx = std::max(mx, w);
-        sum += w;
-        ++parts;
-      }
-    }
-  }
-  if (sum <= 0.0) return 1.0;
-  return mx / (sum / static_cast<double>(parts));
+  return evaluate(decode(cost), cuts);
 }
 
 std::array<AxisWidthLimits, 3> width_limits_for(
@@ -144,9 +184,9 @@ namespace {
 
 /// Per-axis DP seed + coordinate-descent refinement for one factorization;
 /// predicted_ratio stays < 0 when the factorization is infeasible.
-BalanceSolution solve_for_pgrid(const std::vector<double>& cost,
-                                const Int3& res, const Int3& pd,
+BalanceSolution solve_for_pgrid(const Sites& sites, const Int3& pd,
                                 const std::array<AxisWidthLimits, 3>& limits) {
+  const Int3& res = sites.res;
   BalanceSolution sol;
   sol.pgrid_dims = pd;
 
@@ -154,57 +194,41 @@ BalanceSolution solve_for_pgrid(const std::vector<double>& cost,
   for (int a = 0; a < 3; ++a) {
     std::vector<std::vector<double>> M(static_cast<std::size_t>(res[a]),
                                        std::vector<double>(1, 0.0));
-    for (int z = 0; z < res.z; ++z)
-      for (int y = 0; y < res.y; ++y)
-        for (int x = 0; x < res.x; ++x)
-          M[static_cast<std::size_t>(axis_of(a, x, y, z))][0] +=
-              cost[idx3(res, x, y, z)];
+    for (std::size_t e = 0; e < sites.at.size(); ++e)
+      M[static_cast<std::size_t>(sites.at[e][a])][0] += sites.value[e];
     auto cuts = solve_axis(M, pd[a], limits[static_cast<std::size_t>(a)]);
     if (cuts.empty()) return sol;  // infeasible
     sol.cuts[static_cast<std::size_t>(a)] = std::move(cuts);
   }
 
-  double best = evaluate_cuts(cost, res, sol.cuts);
+  double best = evaluate(sites, sol.cuts);
   for (int iter = 0; iter < 30; ++iter) {
     bool improved = false;
     for (int a = 0; a < 3; ++a) {
       // Rebuild this axis' slab-by-column matrix against the other two
       // axes' current cuts, then re-solve the axis exactly.
       const int b1 = (a + 1) % 3, b2 = (a + 2) % 3;
-      const std::vector<int>& c1 = sol.cuts[static_cast<std::size_t>(b1)];
-      const std::vector<int>& c2 = sol.cuts[static_cast<std::size_t>(b2)];
+      const std::vector<int> q1 =
+          part_of(sol.cuts[static_cast<std::size_t>(b1)], res[b1]);
+      const std::vector<int> q2 =
+          part_of(sol.cuts[static_cast<std::size_t>(b2)], res[b2]);
       const int P2 = pd[b2];
-      auto part_of = [](const std::vector<int>& cuts, int v) {
-        int q = 0;
-        while (v >= cuts[static_cast<std::size_t>(q) + 1]) ++q;
-        return q;
-      };
-      std::vector<int> q1(static_cast<std::size_t>(res[b1]));
-      for (int v = 0; v < res[b1]; ++v)
-        q1[static_cast<std::size_t>(v)] = part_of(c1, v);
-      std::vector<int> q2(static_cast<std::size_t>(res[b2]));
-      for (int v = 0; v < res[b2]; ++v)
-        q2[static_cast<std::size_t>(v)] = part_of(c2, v);
       std::vector<std::vector<double>> M(
           static_cast<std::size_t>(res[a]),
           std::vector<double>(static_cast<std::size_t>(pd[b1]) * P2, 0.0));
-      for (int z = 0; z < res.z; ++z)
-        for (int y = 0; y < res.y; ++y)
-          for (int x = 0; x < res.x; ++x) {
-            const int sl = axis_of(a, x, y, z);
-            const int o1 = axis_of(b1, x, y, z);
-            const int o2 = axis_of(b2, x, y, z);
-            M[static_cast<std::size_t>(sl)]
-             [static_cast<std::size_t>(q1[static_cast<std::size_t>(o1)]) *
-                  P2 +
-              q2[static_cast<std::size_t>(o2)]] += cost[idx3(res, x, y, z)];
-          }
+      for (std::size_t e = 0; e < sites.at.size(); ++e) {
+        const Int3& at = sites.at[e];
+        M[static_cast<std::size_t>(at[a])]
+         [static_cast<std::size_t>(q1[static_cast<std::size_t>(at[b1])]) *
+              P2 +
+          q2[static_cast<std::size_t>(at[b2])]] += sites.value[e];
+      }
       auto axis_cuts =
           solve_axis(M, pd[a], limits[static_cast<std::size_t>(a)]);
       if (axis_cuts.empty()) continue;
       auto trial = sol.cuts;
       trial[static_cast<std::size_t>(a)] = std::move(axis_cuts);
-      const double r = evaluate_cuts(cost, res, trial);
+      const double r = evaluate(sites, trial);
       if (r < best - 1e-12) {
         best = r;
         sol.cuts = trial;
@@ -220,11 +244,10 @@ BalanceSolution solve_for_pgrid(const std::vector<double>& cost,
 }  // namespace
 
 BalanceSolution solve_balanced_cuts(
-    const std::vector<double>& cost, const Int3& res, int num_ranks,
+    const CostField& cost, int num_ranks,
     const std::array<AxisWidthLimits, 3>& limits) {
-  SCMD_REQUIRE(static_cast<long long>(cost.size()) == res.volume(),
-               "cost field does not match the fine resolution");
   SCMD_REQUIRE(num_ranks >= 1, "need at least one rank");
+  const Sites sites = decode(cost);
   BalanceSolution best;
   for (int px = 1; px <= num_ranks; ++px) {
     if (num_ranks % px) continue;
@@ -233,7 +256,7 @@ BalanceSolution solve_balanced_cuts(
       if (rest % py) continue;
       const int pz = rest / py;
       const BalanceSolution s =
-          solve_for_pgrid(cost, res, Int3{px, py, pz}, limits);
+          solve_for_pgrid(sites, Int3{px, py, pz}, limits);
       if (s.predicted_ratio < 0.0) continue;
       if (best.predicted_ratio < 0.0 ||
           s.predicted_ratio < best.predicted_ratio)

@@ -6,7 +6,10 @@
 /// Input: a measured cost density on a fine lattice (see CostField) and a
 /// rank count.  Output: a process-grid factorization plus per-axis cut
 /// planes (tensor-product bricks, so the forwarded halo exchange keeps
-/// working) minimizing the predicted max/mean per-rank cost ratio.
+/// working) minimizing the predicted max/mean per-rank cost ratio.  Every
+/// pass over the density visits its nonzero entries only, in ascending
+/// index order, so a solve costs O(entries) per pass plus the per-axis
+/// DPs — never O(lattice volume).
 ///
 /// Per axis, the optimal cuts for fixed other-axis cuts solve a
 /// 1-D partition problem: minimize over cut positions the maximum, over
@@ -20,6 +23,7 @@
 #include <array>
 #include <vector>
 
+#include "balance/cost_field.hpp"
 #include "geom/int3.hpp"
 
 namespace scmd {
@@ -35,9 +39,10 @@ struct BalanceSolution {
   double predicted_ratio = -1.0;
 };
 
-/// Max/mean per-rank cost of a tensor-product decomposition of `cost`
-/// (values in [z][y][x] order over `res`).
-double evaluate_cuts(const std::vector<double>& cost, const Int3& res,
+/// Max/mean per-rank cost of a tensor-product decomposition of `cost`;
+/// cuts[a] lie in [0, cost.res()[a]].  Part totals are summed in (k,j,i)
+/// part order, each over its entries in ascending index order.
+double evaluate_cuts(const CostField& cost,
                      const std::array<std::vector<int>, 3>& cuts);
 
 /// Minimum part widths as a function of the part's own cut positions —
@@ -81,7 +86,7 @@ std::vector<int> solve_axis(const std::vector<std::vector<double>>& M,
 /// enumerate factorizations, per-axis DP + coordinate descent for each,
 /// return the lowest predicted ratio.
 BalanceSolution solve_balanced_cuts(
-    const std::vector<double>& cost, const Int3& res, int num_ranks,
+    const CostField& cost, int num_ranks,
     const std::array<AxisWidthLimits, 3>& limits);
 
 }  // namespace scmd

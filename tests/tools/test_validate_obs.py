@@ -268,5 +268,55 @@ class MergedChecks(ValidatorRunner):
                           self.write_metrics(recs), "--expect-merged", "2")
 
 
+class BalanceChecks(ValidatorRunner):
+    def balance_metrics(self):
+        gauges = {"balance.ratio": 1.6, "balance.rebalanced": 0,
+                  "balance.predicted_ratio": 0.0,
+                  "balance.migrated_atoms": 0}
+        recut = dict(gauges, **{"balance.rebalanced": 1,
+                                "balance.predicted_ratio": 1.05,
+                                "balance.migrated_atoms": 120})
+        return self.write_metrics([metrics_record(0, gauges),
+                                   metrics_record(1, recut)])
+
+    def test_recut_with_both_phases_passes(self):
+        trace = self.write_trace([
+            span("step", 0, 100), span("balance", 10, 50),
+            span("balance.plan", 11, 20), span("balance.apply", 32, 25)])
+        self.assert_passes("--metrics", self.balance_metrics(),
+                           "--trace", trace, "--expect-balance")
+
+    def test_no_rebalance_fails(self):
+        gauges = {"balance.ratio": 1.6, "balance.rebalanced": 0,
+                  "balance.predicted_ratio": 0.0,
+                  "balance.migrated_atoms": 0}
+        path = self.write_metrics([metrics_record(0, gauges)])
+        self.assert_fails("no record observed a rebalance", "--metrics",
+                          path, "--expect-balance")
+
+    def test_recut_without_phase_spans_fails(self):
+        # The metrics saw a re-cut, but the trace has only the enclosing
+        # balance span: where the re-cut's time went is unrecorded.
+        trace = self.write_trace([span("step", 0, 100),
+                                  span("balance", 10, 50)])
+        self.assert_fails("no 'balance.plan' span", "--metrics",
+                          self.balance_metrics(), "--trace", trace,
+                          "--expect-balance")
+        trace = self.write_trace([span("step", 0, 100),
+                                  span("balance", 10, 50),
+                                  span("balance.plan", 11, 20)])
+        self.assert_fails("no 'balance.apply' span", "--metrics",
+                          self.balance_metrics(), "--trace", trace,
+                          "--expect-balance")
+
+    def test_phase_outside_balance_fails(self):
+        trace = self.write_trace([
+            span("step", 0, 100), span("balance", 10, 30),
+            span("balance.plan", 11, 20), span("balance.apply", 50, 25)])
+        self.assert_fails("'balance.apply' at ts=50 is not nested",
+                          "--metrics", self.balance_metrics(),
+                          "--trace", trace, "--expect-balance")
+
+
 if __name__ == "__main__":
     unittest.main()

@@ -13,7 +13,9 @@ Usage:
 
 --expect-balance asserts the dynamic load-balancing schema: every metrics
 record carries the balance.* gauges, at least one record observed a
-rebalance, and the trace (when given) contains the per-step balance span.
+rebalance, and the trace (when given) contains the per-step balance span
+and, for that rebalance, its balance.plan and balance.apply phase spans,
+each nested directly inside a balance span.
 
 --expect-cache asserts the persistent-tuple-list schema: every metrics
 record carries the tuple_cache.* gauges, the run observed at least one
@@ -57,6 +59,8 @@ def fail(msg):
 
 BALANCE_METRICS = ("balance.ratio", "balance.rebalanced",
                    "balance.predicted_ratio", "balance.migrated_atoms")
+# Phases of a re-cut, each a child of the step's balance span.
+BALANCE_PHASES = ("balance.plan", "balance.apply")
 
 CACHE_METRICS = ("tuple_cache.rebuilds", "tuple_cache.reuse_steps",
                  "tuple_cache.replayed")
@@ -246,10 +250,17 @@ def validate_trace(path, min_spans=1, expect_balance=False,
                     stack[-1]["ts"] + stack[-1]["dur"] + slack:
                 fail(f"{path}: tid {tid}: span {e['name']!r} at ts={e['ts']}"
                      f" partially overlaps {stack[-1]['name']!r}")
+            if expect_balance and e["name"] in BALANCE_PHASES and \
+                    (not stack or stack[-1]["name"] != "balance"):
+                fail(f"{path}: tid {tid}: span {e['name']!r} at "
+                     f"ts={e['ts']} is not nested in a 'balance' span")
             stack.append(e)
     names = sorted({e["name"] for e in events})
-    if expect_balance and "balance" not in names:
-        fail(f"{path}: --expect-balance, but no 'balance' span present")
+    if expect_balance:
+        for want in ("balance",) + BALANCE_PHASES:
+            if want not in names:
+                fail(f"{path}: --expect-balance, but no {want!r} span "
+                     f"present")
     if expect_cache and not any(n.startswith("replay") for n in names):
         fail(f"{path}: --expect-cache, but no 'replay.*' span present")
     if expect_merged:
@@ -292,7 +303,8 @@ def main():
                     help="minimum number of metrics records")
     ap.add_argument("--expect-balance", action="store_true",
                     help="require balance.* metrics, >= 1 rebalance, and "
-                         "the balance trace span")
+                         "the balance, balance.plan and balance.apply "
+                         "trace spans")
     ap.add_argument("--expect-cache", action="store_true",
                     help="require tuple_cache.* metrics, >= 1 rebuild and "
                          ">= 1 reuse step, and a replay.* trace span")
