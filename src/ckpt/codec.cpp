@@ -23,6 +23,7 @@ std::string section_tag(std::uint32_t id) {
 }
 
 void ByteWriter::append(const void* data, std::size_t size) {
+  if (size == 0) return;  // `data` may be an empty container's null data()
   const auto* p = static_cast<const std::byte*>(data);
   out_.insert(out_.end(), p, p + size);
 }

@@ -165,9 +165,10 @@ void WalWriter::append(WalRecordType type, const Bytes& payload) {
 }
 
 void WalWriter::append(WalRecordType type, const std::string& text) {
-  Bytes payload(text.size());
-  std::memcpy(payload.data(), text.data(), text.size());
-  append(type, payload);
+  // Copy through iterators: an empty Bytes has a null data(), and
+  // memcpy into null is undefined even for zero bytes.
+  const auto* p = reinterpret_cast<const std::byte*>(text.data());
+  append(type, Bytes(p, p + text.size()));
 }
 
 void WalWriter::sync() {

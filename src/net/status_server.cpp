@@ -1,17 +1,11 @@
 #include "net/status_server.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
+#include <chrono>
 #include <cstdint>
-#include <cstring>
 
-#include "net/tcp.hpp"
-#include "support/error.hpp"
+#include "net/socket.hpp"
 
 namespace scmd {
 
@@ -21,38 +15,10 @@ namespace {
 /// request.
 constexpr std::uint32_t kMaxRequestBytes = 1 << 16;
 
-bool write_full(int fd, const void* data, std::size_t size) {
-  const char* p = static_cast<const char*>(data);
-  while (size > 0) {
-    const ssize_t n = ::send(fd, p, size, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool read_full(int fd, void* data, std::size_t size) {
-  char* p = static_cast<char*>(data);
-  while (size > 0) {
-    const ssize_t n = ::recv(fd, p, size, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 StatusServer::StatusServer(int port) {
-  const auto [fd, bound] = bind_listener("0.0.0.0", port);
+  const auto [fd, bound] = net::bind_listener("0.0.0.0", port);
   listen_fd_ = fd;
   port_ = bound;
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -71,11 +37,9 @@ void StatusServer::publish(const std::string& channel, std::string json) {
 
 void StatusServer::accept_loop() {
   while (running_.load()) {
-    // Short poll so stop() is observed promptly even with no clients.
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 200);
-    if (rc <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    // Short wait so stop() is observed promptly even with no clients.
+    const int fd = net::accept_conn(
+        listen_fd_, net::Clock::now() + std::chrono::milliseconds(200));
     if (fd < 0) continue;
     const MutexLock lock(conn_mu_);
     if (!running_.load()) {
@@ -90,10 +54,10 @@ void StatusServer::accept_loop() {
 void StatusServer::serve(int fd) {
   while (running_.load()) {
     std::uint32_t len = 0;
-    if (!read_full(fd, &len, sizeof(len))) break;
+    if (!net::read_all(fd, &len, sizeof(len))) break;
     if (len > kMaxRequestBytes) break;
     std::string request(len, '\0');
-    if (len > 0 && !read_full(fd, request.data(), len)) break;
+    if (len > 0 && !net::read_all(fd, request.data(), len)) break;
 
     std::string reply = "{}";
     {
@@ -103,8 +67,9 @@ void StatusServer::serve(int fd) {
       if (it != snapshots_.end()) reply = it->second;
     }
     const auto reply_len = static_cast<std::uint32_t>(reply.size());
-    if (!write_full(fd, &reply_len, sizeof(reply_len))) break;
-    if (!write_full(fd, reply.data(), reply.size())) break;
+    iovec parts[] = {net::buf(&reply_len, sizeof(reply_len)),
+                     net::buf(reply.data(), reply.size())};
+    if (!net::write_all(fd, parts)) break;
   }
   ::close(fd);
 }
@@ -115,7 +80,7 @@ void StatusServer::stop() {
   // serve() owns the close itself.
   {
     const MutexLock lock(conn_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const int fd : conn_fds_) net::hang_up(fd);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   {

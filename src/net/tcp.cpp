@@ -1,16 +1,9 @@
 #include "net/tcp.hpp"
 
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <chrono>
 #include <cstring>
 
@@ -38,43 +31,11 @@ constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 32;
 /// Wire header of every mesh frame: u32 tag, u64 payload length.
 constexpr std::size_t kHeaderBytes = 12;
 
-std::string errno_str() { return std::strerror(errno); }
-
 std::uint64_t elapsed_ns(SteadyClock::time_point t0) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           SteadyClock::now() - t0)
           .count());
-}
-
-/// Write exactly `size` bytes; returns false on a connection error.
-bool write_full(int fd, const void* data, std::size_t size) {
-  const char* p = static_cast<const char*>(data);
-  while (size > 0) {
-    const ssize_t n = ::send(fd, p, size, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Read exactly `size` bytes; returns false on EOF or error.
-bool read_full(int fd, void* data, std::size_t size) {
-  char* p = static_cast<char*>(data);
-  while (size > 0) {
-    const ssize_t n = ::recv(fd, p, size, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 void encode_header(char (&buf)[kHeaderBytes], int tag, std::uint64_t len) {
@@ -91,76 +52,6 @@ void decode_header(const char (&buf)[kHeaderBytes], int& tag,
   tag = static_cast<int>(utag);
 }
 
-sockaddr_in resolve(const std::string& host, int port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (host.empty() || host == "0.0.0.0") {
-    addr.sin_addr.s_addr = htonl(INADDR_ANY);
-    return addr;
-  }
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1) return addr;
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* res = nullptr;
-  const int rc = ::getaddrinfo(host.c_str(), nullptr, &hints, &res);
-  SCMD_REQUIRE(rc == 0 && res != nullptr,
-               "cannot resolve host '" + host + "': " + gai_strerror(rc));
-  addr.sin_addr = reinterpret_cast<sockaddr_in*>(res->ai_addr)->sin_addr;
-  ::freeaddrinfo(res);
-  return addr;
-}
-
-void set_nodelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-/// Dial host:port, retrying with exponential backoff until `deadline`.
-int connect_with_retry(const std::string& host, int port,
-                       SteadyClock::time_point deadline) {
-  const sockaddr_in addr = resolve(host, port);
-  auto backoff = std::chrono::milliseconds(20);
-  std::string last_error = "timed out before first attempt";
-  do {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    SCMD_REQUIRE(fd >= 0, "socket(): " + errno_str());
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) == 0) {
-      set_nodelay(fd);
-      return fd;
-    }
-    last_error = errno_str();
-    ::close(fd);
-    std::this_thread::sleep_for(backoff);
-    backoff = std::min(backoff * 2, std::chrono::milliseconds(500));
-  } while (SteadyClock::now() < deadline);
-  SCMD_REQUIRE(false, "connect to " + host + ":" + std::to_string(port) +
-                          " failed: " + last_error);
-  return -1;
-}
-
-/// Accept one connection before `deadline` or throw.
-int accept_with_deadline(int listen_fd, SteadyClock::time_point deadline) {
-  for (;;) {
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - SteadyClock::now());
-    SCMD_REQUIRE(remaining.count() > 0,
-                 "timed out waiting for a peer connection");
-    pollfd pfd{listen_fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, static_cast<int>(remaining.count()));
-    if (rc < 0 && errno == EINTR) continue;
-    SCMD_REQUIRE(rc >= 0, "poll(): " + errno_str());
-    if (rc == 0) continue;  // re-check the deadline
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0 && (errno == EINTR || errno == ECONNABORTED)) continue;
-    SCMD_REQUIRE(fd >= 0, "accept(): " + errno_str());
-    set_nodelay(fd);
-    return fd;
-  }
-}
-
 void write_u32(std::vector<char>& out, std::uint32_t v) {
   const std::size_t at = out.size();
   out.resize(at + 4);
@@ -169,41 +60,19 @@ void write_u32(std::vector<char>& out, std::uint32_t v) {
 
 std::uint32_t read_u32_fd(int fd, const char* what) {
   std::uint32_t v = 0;
-  SCMD_REQUIRE(read_full(fd, &v, 4),
+  SCMD_REQUIRE(net::read_all(fd, &v, 4),
                std::string("connection dropped while reading ") + what);
   return v;
 }
 
 std::string read_string_fd(int fd, std::size_t len) {
   std::string s(len, '\0');
-  SCMD_REQUIRE(len == 0 || read_full(fd, s.data(), len),
+  SCMD_REQUIRE(len == 0 || net::read_all(fd, s.data(), len),
                "connection dropped while reading an address string");
   return s;
 }
 
 }  // namespace
-
-std::pair<int, int> bind_listener(const std::string& host, int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  SCMD_REQUIRE(fd >= 0, "socket(): " + errno_str());
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = resolve(host, port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(fd, 128) != 0) {
-    const std::string err = errno_str();
-    ::close(fd);
-    SCMD_REQUIRE(false, "cannot listen on " + host + ":" +
-                            std::to_string(port) + ": " + err);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  SCMD_REQUIRE(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) ==
-                   0,
-               "getsockname(): " + errno_str());
-  return {fd, static_cast<int>(ntohs(bound.sin_port))};
-}
 
 TcpTransport::TcpTransport(const TcpConfig& config) : config_(config) {
   SCMD_REQUIRE(config_.num_ranks >= 1, "tcp transport needs >= 1 rank");
@@ -262,7 +131,8 @@ void TcpTransport::rendezvous(int listen_port, std::vector<std::string>& hosts,
     try {
       // Collect every rank's announcement: {rank, listener port, host}.
       for (int i = 0; i < P - 1; ++i) {
-        const int fd = accept_with_deadline(rfd, deadline);
+        const int fd = net::accept_conn(rfd, deadline);
+        SCMD_REQUIRE(fd >= 0, "timed out waiting for a peer connection");
         conns.push_back(fd);
         const auto r = static_cast<int>(read_u32_fd(fd, "a rendezvous rank"));
         SCMD_REQUIRE(r > 0 && r < P && ports[static_cast<std::size_t>(r)] == 0,
@@ -283,7 +153,7 @@ void TcpTransport::rendezvous(int listen_port, std::vector<std::string>& hosts,
         table.insert(table.end(), h.begin(), h.end());
       }
       for (const int fd : conns)
-        SCMD_REQUIRE(write_full(fd, table.data(), table.size()),
+        SCMD_REQUIRE(net::write_all(fd, table.data(), table.size()),
                      "rendezvous: failed to send the address table");
     } catch (...) {
       for (const int fd : conns) ::close(fd);
@@ -295,8 +165,8 @@ void TcpTransport::rendezvous(int listen_port, std::vector<std::string>& hosts,
     return;
   }
   // Ranks 1..P-1: announce ourselves, receive the table.
-  const int fd = connect_with_retry(config_.rendezvous_host,
-                                    config_.rendezvous_port, deadline);
+  const int fd =
+      net::dial(config_.rendezvous_host, config_.rendezvous_port, deadline);
   try {
     std::vector<char> hello;
     write_u32(hello, static_cast<std::uint32_t>(config_.rank));
@@ -304,7 +174,7 @@ void TcpTransport::rendezvous(int listen_port, std::vector<std::string>& hosts,
     write_u32(hello, static_cast<std::uint32_t>(config_.advertise_host.size()));
     hello.insert(hello.end(), config_.advertise_host.begin(),
                  config_.advertise_host.end());
-    SCMD_REQUIRE(write_full(fd, hello.data(), hello.size()),
+    SCMD_REQUIRE(net::write_all(fd, hello.data(), hello.size()),
                  "rendezvous: failed to announce to rank 0");
     for (int r = 0; r < P; ++r) {
       ports[static_cast<std::size_t>(r)] =
@@ -329,18 +199,18 @@ void TcpTransport::connect_mesh(int listen_fd,
   // Dial every higher rank's listener (its listener exists since before
   // the rendezvous, so the connection parks in its backlog at worst).
   for (int r = config_.rank + 1; r < config_.num_ranks; ++r) {
-    const int fd = connect_with_retry(hosts[static_cast<std::size_t>(r)],
-                                      ports[static_cast<std::size_t>(r)],
-                                      deadline);
+    const int fd = net::dial(hosts[static_cast<std::size_t>(r)],
+                             ports[static_cast<std::size_t>(r)], deadline);
     const auto me = static_cast<std::uint32_t>(config_.rank);
-    SCMD_REQUIRE(write_full(fd, &me, 4), "mesh handshake send failed");
+    SCMD_REQUIRE(net::write_all(fd, &me, 4), "mesh handshake send failed");
     auto peer = std::make_unique<Peer>();
     peer->fd = fd;
     peers_[static_cast<std::size_t>(r)] = std::move(peer);
   }
   // Accept one connection from every lower rank.
   for (int i = 0; i < config_.rank; ++i) {
-    const int fd = accept_with_deadline(listen_fd, deadline);
+    const int fd = net::accept_conn(listen_fd, deadline);
+    SCMD_REQUIRE(fd >= 0, "timed out waiting for a peer connection");
     const auto r = static_cast<int>(read_u32_fd(fd, "a mesh handshake"));
     SCMD_REQUIRE(r >= 0 && r < config_.rank &&
                      peers_[static_cast<std::size_t>(r)] == nullptr,
@@ -363,7 +233,7 @@ TcpTransport::~TcpTransport() {
     peer->cv.notify_all();
     if (peer->writer.joinable()) peer->writer.join();  // flushes the outbox
     // FIN after the flushed data; our blocked reader wakes with EOF.
-    ::shutdown(peer->fd, SHUT_RDWR);
+    net::hang_up(peer->fd);
     if (peer->reader.joinable()) peer->reader.join();
     ::close(peer->fd);
   }
@@ -396,13 +266,13 @@ void TcpTransport::reader_loop(int src) {
   const int fd = peers_[static_cast<std::size_t>(src)]->fd;
   for (;;) {
     char header[kHeaderBytes];
-    if (!read_full(fd, header, sizeof(header))) break;
+    if (!net::read_all(fd, header, sizeof(header))) break;
     int tag = 0;
     std::uint64_t len = 0;
     decode_header(header, tag, len);
     if (len > kMaxFrameBytes) break;  // corrupt header; drop the peer
     Bytes payload(len);
-    if (len > 0 && !read_full(fd, payload.data(), len)) break;
+    if (len > 0 && !net::read_all(fd, payload.data(), len)) break;
     deposit(src, tag, std::move(payload));
   }
   mark_peer_dead(src);
@@ -424,10 +294,9 @@ void TcpTransport::writer_loop(int dst) {
     lk.unlock();
     char header[kHeaderBytes];
     encode_header(header, tag, payload.size());
-    const bool ok = write_full(peer.fd, header, sizeof(header)) &&
-                    (payload.empty() ||
-                     write_full(peer.fd, payload.data(), payload.size()));
-    if (!ok) {
+    iovec frame[] = {net::buf(header, sizeof(header)),
+                     net::buf(payload.data(), payload.size())};
+    if (!net::write_all(peer.fd, frame)) {
       mark_peer_dead(dst);
       return;
     }
@@ -565,7 +434,7 @@ void TcpTransport::hard_kill() {
     Peer* peer = peers_[r].get();
     if (peer == nullptr) continue;
     peer->dead.store(true);
-    ::shutdown(peer->fd, SHUT_RDWR);
+    net::hang_up(peer->fd);
     peer->cv.notify_all();
   }
   {

@@ -38,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/socket.hpp"
 #include "net/transport.hpp"
 #include "support/thread_safety.hpp"
 
@@ -70,9 +71,8 @@ struct TcpConfig {
   int rendezvous_fd = -1;
 };
 
-/// Bind a listening TCP socket on `host:port` (port 0 = ephemeral) and
-/// return {fd, bound port}.  Throws scmd::Error on failure.
-std::pair<int, int> bind_listener(const std::string& host, int port);
+/// Callers that pass a rendezvous_fd bind it with this (net/socket.hpp).
+using net::bind_listener;
 
 /// One rank of a TCP cluster.  The constructor performs the full
 /// bootstrap and blocks until the mesh is connected; the destructor

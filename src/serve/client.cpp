@@ -1,58 +1,28 @@
 #include "serve/client.hpp"
 
-#include <netdb.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <utility>
 
+#include "net/socket.hpp"
 #include "support/error.hpp"
 
 namespace scmd::serve {
 
-namespace {
-
-int connect_to(const std::string& host, int port) {
-  addrinfo hints{};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* res = nullptr;
-  const int rc =
-      ::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints, &res);
-  SCMD_REQUIRE(rc == 0 && res != nullptr,
-               "cannot resolve " + host + ": " + gai_strerror(rc));
-  int fd = -1;
-  for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) continue;
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(res);
-  SCMD_REQUIRE(fd >= 0, "cannot connect to " + host + ":" +
-                            std::to_string(port) +
-                            " — is the daemon running?");
-  return fd;
-}
-
-}  // namespace
-
 ClientConnection::ClientConnection(const std::string& host, int port)
-    : fd_(connect_to(host, port)) {}
+    : fd_(net::dial(host, port)) {}
 
 ClientConnection::~ClientConnection() { close(); }
 
 void ClientConnection::disconnect() {
   const int fd = fd_.load();
-  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+  if (fd >= 0) net::hang_up(fd);
 }
 
 void ClientConnection::close() {
   const int fd = fd_.exchange(-1);
   if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
+    net::hang_up(fd);
     ::close(fd);
   }
 }

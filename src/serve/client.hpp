@@ -19,7 +19,8 @@ namespace scmd::serve {
 
 class ClientConnection {
  public:
-  /// Connect to the daemon; throws scmd::Error when nobody answers.
+  /// Connect to the daemon (net::dial, so TCP_NODELAY is set); throws
+  /// scmd::Error when nobody answers.
   ClientConnection(const std::string& host, int port);
   ~ClientConnection();
 

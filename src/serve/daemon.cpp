@@ -1,7 +1,5 @@
 #include "serve/daemon.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -12,9 +10,9 @@
 #include <sstream>
 #include <utility>
 
+#include "net/socket.hpp"
 #include "net/status_server.hpp"
 #include "net/tags.hpp"
-#include "net/tcp.hpp"
 #include "serve/runplan.hpp"
 #include "support/config.hpp"
 #include "support/error.hpp"
@@ -35,16 +33,6 @@ void ensure_dir(const std::string& path) {
 bool dir_exists(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
-}
-
-/// True when the streaming client hung up (half-close or reset).  A
-/// readable byte means a pipelined request, which is a live client.
-bool peer_gone(int fd) {
-  char probe = 0;
-  const ssize_t n = ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-  if (n == 0) return true;
-  if (n < 0) return errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR;
-  return false;
 }
 
 }  // namespace
@@ -68,7 +56,8 @@ ServeDaemon::ServeDaemon(Transport& pool, DaemonConfig cfg)
          {"serve.queue_depth", "serve.jobs_active", "serve.jobs_submitted",
           "serve.jobs_done", "serve.jobs_failed", "serve.jobs_cancelled",
           "serve.ranks_total", "serve.ranks_busy", "serve.ranks_free",
-          "serve.ranks_dead", "serve.job_latency_s"}) {
+          "serve.ranks_dead", "serve.job_latency_s", "serve.job_bootstrap_s",
+          "serve.job_steady_s", "serve.job_notify_s"}) {
       m.set(name, 0.0);
     }
     m.set("serve.ranks_total", workers);
@@ -80,7 +69,7 @@ ServeDaemon::ServeDaemon(Transport& pool, DaemonConfig cfg)
   }
   if (cfg_.status_port >= 0)
     status_ = std::make_unique<StatusServer>(cfg_.status_port);
-  const auto [fd, bound] = bind_listener("0.0.0.0", cfg_.client_port);
+  const auto [fd, bound] = net::bind_listener("0.0.0.0", cfg_.client_port);
   listen_fd_ = fd;
   client_port_ = bound;
   monitors_.reserve(static_cast<std::size_t>(workers));
@@ -184,6 +173,13 @@ void ServeDaemon::finalize_if_drained_locked(std::int64_t id) {
     error = rj.cancel_reason;
   sched_.finish(id, rj.final_state, error, rj.potential_energy,
                 rj.steps_completed, now_s());
+  if (cfg_.metrics != nullptr) {
+    if (const auto split = latency_split(*sched_.find(id))) {
+      cfg_.metrics->set("serve.job_bootstrap_s", split->bootstrap_s);
+      cfg_.metrics->set("serve.job_steady_s", split->steady_s);
+      cfg_.metrics->set("serve.job_notify_s", split->notify_s);
+    }
+  }
   close_stream_locked(id, rj.final_state, error);
   running_jobs_.erase(it);
   dispatch_locked();  // freed ranks can seed queued work immediately
@@ -322,6 +318,7 @@ void ServeDaemon::monitor_loop(int worker_rank) {
     if (msg.kind == UpKind::kBye) return;
 
     MutexLock lock(mu_);
+    const double now = now_s();
     switch (msg.kind) {
       case UpKind::kChunk: {
         const auto it = streams_.find(msg.job_id);
@@ -346,7 +343,9 @@ void ServeDaemon::monitor_loop(int worker_rank) {
           nchunks = stream->next_seq;
           stream->cv.notify_all();
         }
-        sched_.record_progress(msg.job_id, msg.step, nchunks, now_s());
+        sched_.record_progress(msg.job_id, msg.step, nchunks, now);
+        if (msg.chunk_kind == ChunkKind::kMetrics)
+          sched_.record_first_chunk(msg.job_id, now);
         break;
       }
       case UpKind::kResult: {
@@ -355,6 +354,7 @@ void ServeDaemon::monitor_loop(int worker_rank) {
         RunningJob& rj = it->second;
         if (!rj.result_seen) {
           rj.result_seen = true;
+          sched_.record_result(msg.job_id, now);
           rj.potential_energy = msg.potential_energy;
           rj.steps_completed = msg.steps_completed;
           if (msg.failed) {
@@ -399,11 +399,9 @@ void ServeDaemon::monitor_loop(int worker_rank) {
 
 void ServeDaemon::accept_loop() {
   while (running_.load()) {
-    // Short poll so teardown is observed promptly even with no clients.
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 200);
-    if (rc <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    // Short wait so teardown is observed promptly even with no clients.
+    const int fd = net::accept_conn(
+        listen_fd_, net::Clock::now() + std::chrono::milliseconds(200));
     if (fd < 0) continue;
     const MutexLock lock(conn_mu_);
     if (!running_.load()) {
@@ -595,7 +593,8 @@ bool ServeDaemon::handle_stream(int fd, const StreamRequest& req) {
           break;
         }
         (void)stream->cv.wait_for(stream->mu, std::chrono::milliseconds(100));
-        if (peer_gone(fd)) {
+        // A streaming client hung up (half-close or reset).
+        if (net::peer_closed(fd)) {
           action = Action::kGone;
           break;
         }
@@ -669,7 +668,7 @@ void ServeDaemon::run() {
   running_.store(false);
   {
     const MutexLock lock(conn_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const int fd : conn_fds_) net::hang_up(fd);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   {

@@ -1,10 +1,8 @@
 #include "serve/protocol.hpp"
 
-#include <sys/socket.h>
-
-#include <cerrno>
 #include <cstring>
 
+#include "net/socket.hpp"
 #include "support/error.hpp"
 
 namespace scmd::serve {
@@ -312,60 +310,28 @@ UpMsg decode_up(const Bytes& payload) {
 }
 
 bool write_frame(int fd, MsgType type, const Bytes& body) {
-  const Bytes payload = encode_frame(type, body);
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  const char* hp = reinterpret_cast<const char*>(&len);
-  std::size_t left = sizeof(len);
-  while (left > 0) {
-    const ssize_t n = ::send(fd, hp, left, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    hp += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  const char* p = reinterpret_cast<const char*>(payload.data());
-  left = payload.size();
-  while (left > 0) {
-    const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  return true;
+  // u32 length | u32 magic | u16 type, then the body: one gather write.
+  constexpr std::size_t kPrefix = 4 + 4 + 2;
+  const auto len = static_cast<std::uint32_t>(kPrefix - 4 + body.size());
+  const auto t = static_cast<std::uint16_t>(type);
+  char prefix[kPrefix] = {};
+  std::memcpy(prefix, &len, 4);
+  std::memcpy(prefix + 4, &kFrameMagic, 4);
+  std::memcpy(prefix + 8, &t, 2);
+  iovec parts[] = {net::buf(prefix, sizeof(prefix)),
+                   net::buf(body.data(), body.size())};
+  return net::write_all(fd, parts);
 }
-
-namespace {
-
-bool read_full_fd(int fd, void* data, std::size_t size) {
-  char* p = static_cast<char*>(data);
-  while (size > 0) {
-    const ssize_t n = ::recv(fd, p, size, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 bool read_frame_payload(int fd, Bytes* payload) {
   std::uint32_t len = 0;
-  if (!read_full_fd(fd, &len, sizeof(len))) return false;
+  if (!net::read_all(fd, &len, sizeof(len))) return false;
   SCMD_REQUIRE(len <= kMaxFrameBytes,
                "service frame announces " + std::to_string(len) +
                    " bytes (limit " + std::to_string(kMaxFrameBytes) +
                    ") — protocol violation");
   payload->resize(len);
-  if (len > 0 && !read_full_fd(fd, payload->data(), len)) return false;
+  if (len > 0 && !net::read_all(fd, payload->data(), len)) return false;
   return true;
 }
 

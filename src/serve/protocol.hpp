@@ -221,7 +221,8 @@ UpMsg decode_up(const Bytes& payload);
 // ---------------------------------------------------------------------
 // Socket helpers for the client protocol (u32-LE length prefix).
 
-/// Write one frame; false on a broken peer (never throws).
+/// Write one frame — length prefix, magic, type and body — in a single
+/// gather write (net/socket.hpp); false on a broken peer (never throws).
 bool write_frame(int fd, MsgType type, const Bytes& body);
 
 /// Read one length-prefixed frame payload.  Returns false on clean

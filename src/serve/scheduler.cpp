@@ -36,6 +36,17 @@ std::string json_escape(const std::string& s) {
 
 }  // namespace
 
+std::optional<LatencySplit> latency_split(const JobRecord& rec) {
+  if (!job_state_terminal(rec.state) || rec.first_chunk_s <= 0.0 ||
+      rec.result_s <= 0.0)
+    return std::nullopt;
+  LatencySplit split;
+  split.bootstrap_s = rec.first_chunk_s - rec.started_s;
+  split.steady_s = rec.result_s - rec.first_chunk_s;
+  split.notify_s = rec.finished_s - rec.result_s;
+  return split;
+}
+
 JobScheduler::JobScheduler(int num_workers)
     : num_workers_(num_workers),
       busy_(static_cast<std::size_t>(num_workers), false),
@@ -145,6 +156,16 @@ void JobScheduler::record_progress(std::int64_t id, long long steps_done,
     rec->steps_per_sec = static_cast<double>(steps_done) / elapsed;
 }
 
+void JobScheduler::record_first_chunk(std::int64_t id, double now_s) {
+  JobRecord* rec = find_mutable(id);
+  if (rec != nullptr && rec->first_chunk_s <= 0.0) rec->first_chunk_s = now_s;
+}
+
+void JobScheduler::record_result(std::int64_t id, double now_s) {
+  JobRecord* rec = find_mutable(id);
+  if (rec != nullptr && rec->result_s <= 0.0) rec->result_s = now_s;
+}
+
 const JobRecord* JobScheduler::find(std::int64_t id) const {
   const auto it = jobs_.find(id);
   return it == jobs_.end() ? nullptr : &it->second;
@@ -223,6 +244,11 @@ std::string JobScheduler::table_json(double now_s) const {
     if (job_state_terminal(rec.state))
       os << ",\"runtime_s\":"
          << (rec.started_s > 0.0 ? rec.finished_s - rec.started_s : 0.0);
+    if (const auto split = latency_split(rec)) {
+      os << ",\"bootstrap_s\":" << split->bootstrap_s
+         << ",\"steady_s\":" << split->steady_s
+         << ",\"notify_s\":" << split->notify_s;
+    }
     if (!rec.error.empty()) os << ",\"error\":\"" << json_escape(rec.error)
                                << "\"";
     os << "}";

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,10 +53,29 @@ struct JobRecord {
   double submitted_s = 0.0;
   double started_s = 0.0;
   double finished_s = 0.0;
+  /// Arrival of the job's first metrics chunk and of its result (0 =
+  /// not seen); they split the runtime (latency_split()).
+  double first_chunk_s = 0.0;
+  double result_s = 0.0;
 
   /// Steps/sec over the running window, from chunk progress.
   double steps_per_sec = 0.0;
 };
+
+/// Where a finished job's runtime went, on the daemon's clock:
+/// bootstrap runs from the start to the first metrics chunk (plan build,
+/// subset transport, clock sync, engine set-up, first step), steady from
+/// there to the result, and notify from the result until every rank
+/// reported kDone.  The three add up to the runtime.
+struct LatencySplit {
+  double bootstrap_s = 0.0;
+  double steady_s = 0.0;
+  double notify_s = 0.0;
+};
+
+/// The split of a terminal job that streamed a metrics chunk and
+/// reported a result; nullopt for any other job.
+std::optional<LatencySplit> latency_split(const JobRecord& rec);
 
 /// Tracks worker pool ranks 1..num_workers (pool rank 0 is the daemon
 /// and is never allocatable).
@@ -92,6 +112,11 @@ class JobScheduler {
   /// Progress update from stream chunks (steps/sec for the job table).
   void record_progress(std::int64_t id, long long steps_done,
                        long long chunks, double now_s);
+
+  /// Latency-split stamps: the job's first metrics chunk and its result
+  /// arrived at `now_s`.  Only the first call of each counts.
+  void record_first_chunk(std::int64_t id, double now_s);
+  void record_result(std::int64_t id, double now_s);
 
   const JobRecord* find(std::int64_t id) const;
   JobRecord* find_mutable(std::int64_t id);

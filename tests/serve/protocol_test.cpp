@@ -235,6 +235,28 @@ TEST(ServeProtocolTest, SocketFraming) {
   ::close(fds[1]);
 }
 
+/// write_frame's single gather write puts exactly `u32 length |
+/// encode_frame(type, body)` on the wire, empty bodies included.
+TEST(ServeProtocolTest, WriteFrameBytesAreLengthPlusEncodeFrame) {
+  for (const Bytes& body : {Bytes{}, encode_job_id(33)}) {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    ASSERT_TRUE(write_frame(fds[0], MsgType::kStatus, body));
+    ::close(fds[0]);
+    const Bytes framed = encode_frame(MsgType::kStatus, body);
+    const auto len = static_cast<std::uint32_t>(framed.size());
+    Bytes want(sizeof(len));
+    std::memcpy(want.data(), &len, sizeof(len));
+    want.insert(want.end(), framed.begin(), framed.end());
+    Bytes got(want.size() + 1);  // one spare byte: nothing may follow
+    const ssize_t n = ::recv(fds[1], got.data(), got.size(), MSG_WAITALL);
+    ASSERT_EQ(n, static_cast<ssize_t>(want.size()));
+    got.resize(want.size());
+    EXPECT_EQ(got, want);
+    ::close(fds[1]);
+  }
+}
+
 TEST(ServeProtocolTest, StateNamesAndTerminality) {
   EXPECT_STREQ(job_state_name(JobState::kQueued), "queued");
   EXPECT_STREQ(job_state_name(JobState::kRunning), "running");

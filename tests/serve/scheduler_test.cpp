@@ -1,10 +1,11 @@
 // JobScheduler semantics (serve/scheduler.hpp): priority-desc then
 // FIFO ordering, space-sharing backfill, lowest-free-rank allocation,
-// queued-vs-running cancel, dead-rank retirement, and the job-table
-// JSON schema the status channel publishes.
+// queued-vs-running cancel, dead-rank retirement, the job-table JSON
+// schema the status channel publishes, and the per-job latency split.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 
 #include "serve/scheduler.hpp"
@@ -148,6 +149,53 @@ TEST(JobSchedulerTest, TableJsonCarriesTheSchema) {
   const std::string failed = s.table_json(3.0);
   EXPECT_NE(failed.find("say \\\"what\\\"\\n"), std::string::npos) << failed;
   EXPECT_NE(failed.find("\"runtime_s\":"), std::string::npos) << failed;
+}
+
+/// The number after `"key":` in the job table (the first match).
+double table_number(const std::string& json, const std::string& key) {
+  const std::size_t at = json.find("\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key << " missing from " << json;
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(json.c_str() + at + key.size() + 3, nullptr);
+}
+
+TEST(JobSchedulerTest, LatencySplitSumsToRuntime) {
+  // Clocks are dyadic so every difference is exact in binary.
+  JobScheduler s(2);
+  const auto a = submit(s, 0, 2, 0.5);
+  ASSERT_EQ(s.start_next(1.0), a);
+  s.record_first_chunk(a, 1.25);
+  s.record_first_chunk(a, 1.75);  // later chunks keep the first stamp
+  s.record_result(a, 3.5);
+  EXPECT_FALSE(latency_split(*s.find(a)).has_value());  // still running
+  EXPECT_EQ(s.table_json(2.0).find("bootstrap_s"), std::string::npos);
+
+  s.finish(a, JobState::kDone, "", 0.0, 10, 3.75);
+  const auto split = latency_split(*s.find(a));
+  ASSERT_TRUE(split.has_value());
+  EXPECT_EQ(split->bootstrap_s, 0.25);
+  EXPECT_EQ(split->steady_s, 2.25);
+  EXPECT_EQ(split->notify_s, 0.25);
+
+  const std::string json = s.table_json(4.0);
+  EXPECT_EQ(table_number(json, "bootstrap_s") + table_number(json, "steady_s") +
+                table_number(json, "notify_s"),
+            table_number(json, "runtime_s"))
+      << json;
+  EXPECT_EQ(table_number(json, "queue_latency_s"), 0.5) << json;
+}
+
+TEST(JobSchedulerTest, JobWithoutChunksHasNoLatencySplit) {
+  JobScheduler s(1);
+  const auto a = submit(s, 0, 1);
+  ASSERT_EQ(s.start_next(1.0), a);
+  s.record_result(a, 2.0);
+  s.finish(a, JobState::kFailed, "boom", 0.0, 0, 2.5);
+  EXPECT_FALSE(latency_split(*s.find(a)).has_value());
+  const std::string json = s.table_json(3.0);
+  EXPECT_NE(json.find("\"runtime_s\":"), std::string::npos) << json;
+  for (const char* key : {"bootstrap_s", "steady_s", "notify_s"})
+    EXPECT_EQ(json.find(key), std::string::npos) << key << " in " << json;
 }
 
 }  // namespace

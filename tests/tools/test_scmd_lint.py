@@ -168,6 +168,46 @@ class TsaEscapeTest(unittest.TestCase):
             "void f() SCMD_NO_THREAD_SAFETY_ANALYSIS;\n"), [])
 
 
+class RawSocketTest(unittest.TestCase):
+    def test_syscalls_in_src_flagged(self):
+        hits = findings(scmd_lint.rule_raw_socket, "src/serve/daemon.cpp",
+                        "const int fd = ::accept(lfd, nullptr, nullptr);\n"
+                        "::send(fd, p, n, MSG_NOSIGNAL);\n"
+                        "::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, 4);\n"
+                        "if (:: recv(fd, &b, 1, MSG_PEEK) == 0) {}\n")
+        self.assertEqual([f.line for f in hits], [1, 2, 3, 4])
+        self.assertTrue(all(f.rule == "raw-socket" for f in hits))
+
+    def test_each_listed_syscall_flagged(self):
+        for call in ("socket", "connect", "accept", "send", "sendmsg",
+                     "recv", "setsockopt"):
+            hits = findings(scmd_lint.rule_raw_socket, "src/net/tcp.cpp",
+                            f"::{call}(fd);\n")
+            self.assertEqual(len(hits), 1, call)
+
+    def test_socket_layer_exempt(self):
+        self.assertEqual(findings(
+            scmd_lint.rule_raw_socket, "src/net/socket.cpp",
+            "::sendmsg(fd, &msg, MSG_NOSIGNAL);\n"), [])
+
+    def test_helpers_methods_and_comments_clean(self):
+        self.assertEqual(findings(
+            scmd_lint.rule_raw_socket, "src/serve/client.cpp",
+            "const int fd = net::dial(host, port);\n"
+            "void ClientConnection::shutdown() {}\n"
+            "Bytes TcpTransport::recv(int src, int tag) {}\n"
+            "pool_.send(r, tags::kSvcUp, payload);\n"
+            "auto f = std::bind(g, 1);\n"
+            "// ::send(fd, p, n, 0) in a comment\n"), [])
+
+    def test_outside_src_not_checked(self):
+        for path in ("tests/net/socket_test.cpp", "bench/ladder/md.cpp"):
+            self.assertEqual(findings(
+                scmd_lint.rule_raw_socket, path,
+                "::socketpair(AF_UNIX, SOCK_STREAM, 0, sv);\n"
+                "::send(fd, p, n, 0);\n"), [])
+
+
 TAGS_FIXTURE = """
 namespace scmd::tags {
 inline constexpr int kFooBase = 100;
@@ -271,7 +311,7 @@ class CliTest(unittest.TestCase):
                            capture_output=True, text=True, check=False)
         self.assertEqual(p.returncode, 0)
         for rule in ("raw-tag", "mutex-annotation", "naked-new", "std-rand",
-                     "unpack-try", "tsa-escape", "tag-docs"):
+                     "unpack-try", "tsa-escape", "raw-socket", "tag-docs"):
             self.assertIn(rule, p.stdout)
 
     def test_real_repo_is_clean(self):

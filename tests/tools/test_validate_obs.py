@@ -157,7 +157,9 @@ def serve_metrics(submitted=1, done=1, failed=0, cancelled=0, active=0,
             "serve.jobs_submitted": submitted, "serve.jobs_done": done,
             "serve.jobs_failed": failed, "serve.jobs_cancelled": cancelled,
             "serve.ranks_total": total, "serve.ranks_busy": busy,
-            "serve.ranks_free": free, "serve.ranks_dead": dead}
+            "serve.ranks_free": free, "serve.ranks_dead": dead,
+            "serve.job_bootstrap_s": 0.05, "serve.job_steady_s": 0.12,
+            "serve.job_notify_s": 0.001}
 
 
 class ServeChecks(ValidatorRunner):
@@ -171,6 +173,14 @@ class ServeChecks(ValidatorRunner):
     def test_missing_serve_gauges_fail(self):
         self.assert_fails("required metric", "--metrics",
                           self.write_metrics([metrics_record(0)]),
+                          "--expect-serve")
+
+    def test_missing_latency_split_fails(self):
+        metrics = serve_metrics(busy=2, free=1)
+        del metrics["serve.job_steady_s"]
+        self.assert_fails("serve.job_steady_s", "--metrics",
+                          self.write_metrics([metrics_record(0,
+                                                             metrics=metrics)]),
                           "--expect-serve")
 
     def test_never_busy_fails(self):

@@ -30,6 +30,13 @@ Rules (each a bug class the compiler alone does not catch):
                     plane owns exactly the kSvcBase window
                     (docs/SERVICE.md); borrowing an MD channel would race
                     the jobs the daemon is multiplexing.
+  raw-socket        A socket syscall (::socket, ::connect, ::accept,
+                    ::send, ::sendmsg, ::recv, ::setsockopt and kin) in
+                    src/ outside src/net/socket.cpp.  Every endpoint goes
+                    through the socket layer, so TCP_NODELAY and one
+                    write per frame hold everywhere (a frame split over
+                    two writes on a Nagle socket waits out a ~40 ms
+                    delayed ACK).  Tests and benches may make raw calls.
   tag-docs          The tag table in docs/TRANSPORT.md disagrees with the
                     kRegistry in src/net/tags.hpp (docs must not drift
                     from the code).
@@ -61,6 +68,7 @@ SOURCE_DIRS = ("src", "apps", "bench", "tests", "examples")
 SOURCE_EXTS = (".cpp", ".hpp", ".h", ".cc")
 
 TAGS_HPP = "src/net/tags.hpp"
+SOCKET_CPP = "src/net/socket.cpp"
 THREAD_SAFETY_HPP = "src/support/thread_safety.hpp"
 TRANSPORT_MD = "docs/TRANSPORT.md"
 SUPPRESSIONS = "tools/lint/lint_suppressions.txt"
@@ -308,6 +316,25 @@ def rule_service_tags(path: str, text: str) -> Iterable[Finding]:
             "the caller's `tag` in the subset remap layer)")
 
 
+# A global-scope socket syscall; `Class::send(` and `std::bind(` are
+# not, because a name precedes their `::`.
+SOCKET_CALL = re.compile(
+    r"(?<![\w:])::\s*(socket|socketpair|connect|accept4?|bind|listen|"
+    r"send|sendto|sendmsg|recv|recvfrom|recvmsg|setsockopt|getsockopt|"
+    r"shutdown)\s*\(")
+
+
+def rule_raw_socket(path: str, text: str) -> Iterable[Finding]:
+    if not path.startswith("src/") or path == SOCKET_CPP:
+        return
+    code = strip_comments_and_strings(text)
+    for m in SOCKET_CALL.finditer(code):
+        yield Finding(
+            "raw-socket", path, line_of(code, m.start()),
+            f"::{m.group(1)}() outside {SOCKET_CPP}; use the net/socket.hpp "
+            "helpers (dial, accept_conn, write_all, read_all, ...)")
+
+
 def rule_tsa_escape(path: str, text: str) -> Iterable[Finding]:
     if path == THREAD_SAFETY_HPP or not path.startswith(NO_ESCAPE_DIRS):
         return
@@ -413,6 +440,7 @@ PER_FILE_RULES: dict[str, Callable[[str, str], Iterable[Finding]]] = {
     "unpack-try": rule_unpack_try,
     "service-tags": rule_service_tags,
     "tsa-escape": rule_tsa_escape,
+    "raw-socket": rule_raw_socket,
 }
 
 TREE_RULES = {"tag-docs": rule_tag_docs}

@@ -31,7 +31,8 @@ bug the deltas replaced (record 0 includes bootstrap traffic, so real
 delta series always vary).
 
 --expect-serve asserts the serve daemon schema (docs/SERVICE.md): every
-record carries the serve.* gauges, at least one record observed busy
+record carries the serve.* gauges (including the per-job latency split
+serve.job_{bootstrap,steady,notify}_s), at least one record observed busy
 worker ranks, and on the final record the job ledger (submitted =
 done + failed + cancelled + active + queued) and the rank ledger
 (total = busy + free + dead) both balance.
@@ -77,7 +78,9 @@ SERVE_METRICS = ("serve.queue_depth", "serve.jobs_active",
                  "serve.jobs_submitted", "serve.jobs_done",
                  "serve.jobs_failed", "serve.jobs_cancelled",
                  "serve.ranks_total", "serve.ranks_busy",
-                 "serve.ranks_free", "serve.ranks_dead")
+                 "serve.ranks_free", "serve.ranks_dead",
+                 "serve.job_bootstrap_s", "serve.job_steady_s",
+                 "serve.job_notify_s")
 
 
 def validate_metrics(path, require_metrics, min_steps, expect_balance=False,
