@@ -9,11 +9,11 @@ std::vector<std::int64_t> census_tuples(const TupleStrategy& strategy,
                                         double rcut) {
   std::vector<std::int64_t> flat;
   const std::span<const std::int64_t> gids = dom.gids();
-  enumerate_tuples(strategy.shared_prefix(), dom, strategy.compiled(n), rcut,
-                   [&](std::span<const int> chain) {
-                     for (const int idx : chain)
-                       flat.push_back(gids[static_cast<std::size_t>(idx)]);
-                   });
+  for_each_tuple(dom, strategy.compiled(n), rcut,
+                 [&](std::span<const int> chain) {
+                   for (const int idx : chain)
+                     flat.push_back(gids[static_cast<std::size_t>(idx)]);
+                 });
   return flat;
 }
 

@@ -41,7 +41,9 @@ TupleStrategy::TupleStrategy(const ForceField& field, PatternKind kind,
         psi = r_collapse(generate_fs(n, reach));
         break;
     }
-    compiled_[static_cast<std::size_t>(n)] = CompiledPattern(psi);
+    compiled_[static_cast<std::size_t>(n)] = CompiledPattern(
+        psi, shared_prefix ? CompiledPattern::Mode::kMerged
+                           : CompiledPattern::Mode::kPerPath);
     halo_[static_cast<std::size_t>(n)] =
         compiled_[static_cast<std::size_t>(n)].required_halo();
   }
@@ -237,8 +239,8 @@ double TupleStrategy::compute(const ForceField& field,
           block.reserve(static_cast<std::size_t>(kernels::kEvalBlock) *
                         static_cast<std::size_t>(n));
           long long cnt = 0;
-          enumerate_tuples(
-              shared_prefix_, *dom, cp, rcut, z0, z1,
+          for_each_tuple(
+              *dom, cp, rcut, z0, z1,
               [&](std::span<const int> t) {
                 block.insert(block.end(), t.begin(), t.end());
                 if (++cnt == kernels::kEvalBlock) {
@@ -311,8 +313,8 @@ double TupleStrategy::compute_build(const ForceField& field,
         [&](int part, int z0, int z1, Vec3* fd, TupleCounters& tc,
             std::uint64_t& evals) {
           std::vector<int>& r = rec[static_cast<std::size_t>(part)];
-          enumerate_tuples(
-              shared_prefix_, *dom, cp, rcut + skin, z0, z1,
+          for_each_tuple(
+              *dom, cp, rcut + skin, z0, z1,
               [&](std::span<const int> t) {
                 r.insert(r.end(), t.begin(), t.end());
               },

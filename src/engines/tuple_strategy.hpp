@@ -45,7 +45,6 @@ class TupleStrategy final : public ForceStrategy {
   double min_cell_size(int n, double rcut) const override;
 
   int reach() const { return reach_; }
-  bool shared_prefix() const { return shared_prefix_; }
 
   /// Split enumeration over home-cell z-slabs across this many threads,
   /// with per-thread force buffers reduced deterministically.

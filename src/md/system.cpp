@@ -29,15 +29,6 @@ void ParticleSystem::wrap_positions() {
   for (Vec3& r : pos_) r = box_.wrap(r);
 }
 
-void ParticleSystem::reset_box(const Box& box,
-                               std::span<const Vec3> new_positions) {
-  SCMD_REQUIRE(new_positions.size() == pos_.size(),
-               "reset_box needs one position per atom");
-  box_ = box;
-  for (std::size_t i = 0; i < pos_.size(); ++i)
-    pos_[i] = box_.wrap(new_positions[i]);
-}
-
 double ParticleSystem::kinetic_energy() const {
   double ke = 0.0;
   for (int i = 0; i < num_atoms(); ++i)

@@ -46,11 +46,6 @@ class ParticleSystem {
   /// Wrap all positions into the primary box image.
   void wrap_positions();
 
-  /// Replace the box and every position at once (barostat rescaling).
-  /// `new_positions` must cover all atoms; they are wrapped into the new
-  /// box.
-  void reset_box(const Box& box, std::span<const Vec3> new_positions);
-
   /// Kinetic energy ½Σmv².
   double kinetic_energy() const;
 

@@ -166,6 +166,20 @@ bool read_all(int fd, void* data, std::size_t size) {
   return true;
 }
 
+bool read_sized(int fd, std::vector<std::byte>& out, std::uint64_t size) {
+  constexpr std::uint64_t kFirstChunk = std::uint64_t{1} << 20;
+  out.clear();
+  std::uint64_t have = 0;
+  while (have < size) {
+    const std::uint64_t next = std::min(size, std::max(kFirstChunk, 2 * have));
+    out.reserve(next);
+    out.resize(next);
+    if (!read_all(fd, out.data() + have, next - have)) return false;
+    have = next;
+  }
+  return true;
+}
+
 bool peer_closed(int fd) {
   char probe = 0;
   const ssize_t n = ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);

@@ -20,10 +20,12 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace scmd::net {
 
@@ -70,6 +72,13 @@ inline bool write_all(int fd, const void* data, std::size_t size) {
 
 /// Read exactly `size` bytes; false on EOF or a connection error.
 bool read_all(int fd, void* data, std::size_t size);
+
+/// read_all() into `out` (resized to `size`) for a length taken from a
+/// peer's header.  The buffer grows only as bytes arrive: 1 MiB first,
+/// then doubling, never past twice what has been read.  So a corrupt
+/// length costs memory in proportion to the bytes actually sent, not to
+/// the length claimed.
+bool read_sized(int fd, std::vector<std::byte>& out, std::uint64_t size);
 
 /// Non-blocking probe: true when the peer hung up (EOF or reset).  A
 /// readable byte is a pipelined request from a live peer and stays

@@ -26,6 +26,8 @@ using SteadyClock = std::chrono::steady_clock;
 using tags::kCollective;
 
 /// Sanity bound on a single frame — anything larger is a corrupt header.
+/// A length under it still allocates only as its bytes arrive
+/// (net::read_sized).
 constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 32;
 
 /// Wire header of every mesh frame: u32 tag, u64 payload length.
@@ -270,9 +272,10 @@ void TcpTransport::reader_loop(int src) {
     int tag = 0;
     std::uint64_t len = 0;
     decode_header(header, tag, len);
-    if (len > kMaxFrameBytes) break;  // corrupt header; drop the peer
-    Bytes payload(len);
-    if (len > 0 && !net::read_all(fd, payload.data(), len)) break;
+    // A corrupt header drops the peer.  Tags above 2^31 decode negative.
+    if (tag < 0 || tag > kCollective || len > kMaxFrameBytes) break;
+    Bytes payload;
+    if (!net::read_sized(fd, payload, len)) break;
     deposit(src, tag, std::move(payload));
   }
   mark_peer_dead(src);

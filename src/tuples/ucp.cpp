@@ -1,25 +1,39 @@
 #include "tuples/ucp.hpp"
 
 #include <map>
+#include <string>
 
 #include "support/error.hpp"
 
 namespace scmd {
 
-CompiledPattern::CompiledPattern(const Pattern& psi) : n_(psi.n()) {
+CompiledPattern::CompiledPattern(const Pattern& psi, Mode mode)
+    : n_(psi.n()), mode_(mode) {
   SCMD_REQUIRE(!psi.empty(), "cannot compile an empty pattern");
+  SCMD_REQUIRE(n_ >= 2 && n_ <= kMaxEnumLen,
+               "tuple length " + std::to_string(n_) +
+                   " is outside the enumerator's range 2.." +
+                   std::to_string(kMaxEnumLen));
+  // Slot of each distinct cell offset, in first-seen order.
+  std::map<Int3, int> slot_of;
   paths_.reserve(psi.size());
   for (const Path& p : psi) {
     CompiledPath cp;
     cp.n = p.size();
-    for (int k = 0; k < p.size(); ++k) cp.v[static_cast<std::size_t>(k)] = p[k];
-    cp.guard = psi.collapsed() ? p.self_reflective() : true;
-    paths_.push_back(cp);
-    for (const Int3& v : p.offsets()) {
+    for (int k = 0; k < p.size(); ++k) {
+      const Int3& v = p[k];
+      const auto [it, inserted] =
+          slot_of.try_emplace(v, static_cast<int>(offsets_.size()));
+      if (inserted) offsets_.push_back(v);
+      cp.v[static_cast<std::size_t>(k)] = v;
+      cp.slot[static_cast<std::size_t>(k)] = it->second;
       halo_.lo = Int3::max(halo_.lo, -v);
       halo_.hi = Int3::max(halo_.hi, v);
     }
+    cp.guard = psi.collapsed() ? p.self_reflective() : true;
+    paths_.push_back(cp);
   }
+  if (mode_ == Mode::kPerPath) return;
 
   // Merge the paths into a prefix trie, level by level, so children of
   // each node are contiguous in the pool.  `groups` carries, for each
@@ -56,6 +70,7 @@ CompiledPattern::CompiledPattern(const Pattern& psi) : n_(psi.n()) {
       for (const Int3& v : order) {
         TrieNode node;
         node.v = v;
+        node.slot = slot_of.at(v);
         std::vector<int>& members = by_offset[v];
         if (depth == n_ - 1) {
           SCMD_REQUIRE(members.size() == 1,

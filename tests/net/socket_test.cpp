@@ -1,6 +1,7 @@
 // The socket layer (net/socket.hpp): every endpoint, dialed or accepted,
 // carries TCP_NODELAY; gather writes survive partial writes, EINTR and
-// a dead peer; and a request/reply round trip on the serve client
+// a dead peer; a read sized by a peer's header allocates only as its
+// bytes arrive; and a request/reply round trip on the serve client
 // socket and the status socket costs well under a delayed ACK (~40 ms,
 // what each one cost when a frame left in two writes on a Nagle socket).
 
@@ -9,13 +10,16 @@
 #include <netinet/tcp.h>
 #include <pthread.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -238,6 +242,60 @@ TEST(SocketTest, WriteToClosedPeerFailsWithoutSigpipe) {
   EXPECT_EQ(g_sigpipes.load(), 0);
   EXPECT_TRUE(net::peer_closed(sv[0]));
   ::close(sv[0]);
+}
+
+long peak_rss_kib() {
+  rusage usage{};
+  EXPECT_EQ(::getrusage(RUSAGE_SELF, &usage), 0);
+  return usage.ru_maxrss;
+}
+
+TEST(SocketTest, SizedReadOfCorruptLengthAllocatesOnlyWhatArrives) {
+  // A TCP mesh header (u32 tag, u64 length) claiming 3 GiB, then 10
+  // payload bytes and a hang-up.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const std::uint32_t tag = 7;
+  const std::uint64_t claimed = std::uint64_t{3} << 30;
+  char header[12];
+  std::memcpy(header, &tag, 4);
+  std::memcpy(header + 4, &claimed, 8);
+  const char payload[10] = {'0', '1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  iovec parts[] = {net::buf(header, sizeof(header)),
+                   net::buf(payload, sizeof(payload))};
+  ASSERT_TRUE(net::write_all(sv[1], parts));
+  ::close(sv[1]);
+
+  char got_header[12];
+  ASSERT_TRUE(net::read_all(sv[0], got_header, sizeof(got_header)));
+  std::uint64_t len = 0;
+  std::memcpy(&len, got_header + 4, 8);
+  ASSERT_EQ(len, claimed);
+  const long before = peak_rss_kib();
+  std::vector<std::byte> out;
+  EXPECT_FALSE(net::read_sized(sv[0], out, len));
+  EXPECT_LT(peak_rss_kib() - before, 64L * 1024);
+  ::close(sv[0]);
+}
+
+TEST(SocketTest, SizedReadDeliversMultiMiBFrame) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  std::vector<std::byte> sent(5 * 1024 * 1024 + 3);
+  std::uint32_t x = 777;
+  for (std::byte& v : sent) {
+    x = x * 1664525u + 1013904223u;
+    v = static_cast<std::byte>(x >> 24);
+  }
+  std::thread writer([&] {
+    EXPECT_TRUE(net::write_all(sv[1], sent.data(), sent.size()));
+  });
+  std::vector<std::byte> got;
+  EXPECT_TRUE(net::read_sized(sv[0], got, sent.size()));
+  writer.join();
+  EXPECT_TRUE(got == sent);
+  ::close(sv[0]);
+  ::close(sv[1]);
 }
 
 TEST(SocketTest, PeerClosedIgnoresPipelinedBytes) {

@@ -87,30 +87,38 @@ std::set<std::vector<std::int64_t>> brute_force_chains(const TestSystem& s,
 
 class CompletenessTest : public ::testing::TestWithParam<int> {};
 
+/// Box side for tuple length n at rcut 2.5, so the n-1 cell halo fits
+/// (grid >= halo).  n = 5 takes the smallest such grid, 4^3, because
+/// per-path enumeration visits every path from every home cell.
+double box_side(int n) { return n == 2 ? 10.0 : n == 5 ? 10.5 : 13.0; }
+
+int atom_count(int n) { return n == 4 ? 25 : n == 5 ? 30 : 40; }
+
 TEST_P(CompletenessTest, ScEqualsBruteForceGammaStar) {
   const int n = GetParam();
-  // Box/atom count sized so the n-1 cell halo fits (grid >= halo).
   const double rcut = 2.5;
-  const double side = n == 2 ? 10.0 : 13.0;
+  const Pattern sc = make_sc(n);
+  std::size_t chains = 0;
   for (std::uint64_t seed : {100u, 101u, 102u}) {
-    const TestSystem s = random_system(n == 4 ? 25 : 40, side, seed + n);
-    EXPECT_EQ(enumerate_set(s, make_sc(n), rcut),
-              brute_force_chains(s, n, rcut))
+    const TestSystem s = random_system(atom_count(n), box_side(n), seed + n);
+    const auto oracle = brute_force_chains(s, n, rcut);
+    chains += oracle.size();
+    EXPECT_EQ(enumerate_set(s, sc, rcut), oracle)
         << "n=" << n << " seed=" << seed;
   }
+  EXPECT_GT(chains, 0u) << "n=" << n;
 }
 
 TEST_P(CompletenessTest, FsEqualsBruteForceGammaStar) {
   const int n = GetParam();
   const double rcut = 2.5;
-  const double side = n == 2 ? 10.0 : 13.0;
-  const TestSystem s = random_system(n == 4 ? 25 : 40, side, 200 + n);
+  const TestSystem s = random_system(atom_count(n), box_side(n), 200 + n);
   EXPECT_EQ(enumerate_set(s, generate_fs(n), rcut),
             brute_force_chains(s, n, rcut));
 }
 
 INSTANTIATE_TEST_SUITE_P(TupleLengths, CompletenessTest,
-                         ::testing::Values(2, 3, 4));
+                         ::testing::Values(2, 3, 4, 5));
 
 TEST(ShiftInvarianceTest, SinglePathForceSetUnchangedByShift) {
   // Theorem 1 on real data: UCP(Ω, {p}) == UCP(Ω, {p + Δ}).

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "engines/serial_engine.hpp"
 #include "md/builders.hpp"
@@ -36,12 +39,13 @@ TestSystem random_system(int n, double side, std::uint64_t seed) {
 
 using TupleSet = std::multiset<std::vector<std::int64_t>>;
 
-TupleSet collect(const CellDomain& dom, const CompiledPattern& cp,
-                 double rcut, bool shared, TupleCounters* tc = nullptr) {
+TupleSet collect(const CellDomain& dom, const Pattern& psi, double rcut,
+                 CompiledPattern::Mode mode, TupleCounters* tc = nullptr) {
+  const CompiledPattern cp(psi, mode);
   TupleSet out;
   const auto gids = dom.gids();
-  enumerate_tuples(
-      shared, dom, cp, rcut,
+  for_each_tuple(
+      dom, cp, rcut,
       [&](std::span<const int> t) {
         std::vector<std::int64_t> ids;
         for (int a : t) ids.push_back(gids[a]);
@@ -52,35 +56,73 @@ TupleSet collect(const CellDomain& dom, const CompiledPattern& cp,
   return out;
 }
 
+/// The pattern kinds TupleStrategy compiles, by strategy name.
+Pattern make_kind(const std::string& kind, int n) {
+  if (kind == "SC") return make_sc(n);
+  if (kind == "FS") return generate_fs(n);
+  if (kind == "OC") return oc_shift(generate_fs(n));
+  return r_collapse(generate_fs(n));
+}
+
+/// Parameters: tuple length, and whether the patterns are R-collapsed
+/// (SC and RC) or not (FS and OC).
 class TrieEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
 TEST_P(TrieEquivalenceTest, SameTuplesLessOrEqualWork) {
-  const auto [n, use_sc] = GetParam();
-  const TestSystem s = random_system(60, 13.0, 400 + n);
+  const auto [n, collapsed] = GetParam();
+  // n = 5 takes a 4^3 grid, the smallest that holds its 4-cell halo:
+  // per-path enumeration there visits every path from every home cell.
+  const TestSystem s =
+      n == 5 ? random_system(40, 10.5, 405) : random_system(60, 13.0, 400 + n);
   const double rcut = 2.5;
-  const Pattern psi = use_sc ? make_sc(n) : generate_fs(n);
   const CellGrid grid(s.box, rcut);
-  const CellDomain dom =
-      make_serial_domain(grid, halo_for(psi), s.pos, s.type);
-  const CompiledPattern cp(psi);
-
-  TupleCounters flat, shared;
-  const TupleSet a = collect(dom, cp, rcut, false, &flat);
-  const TupleSet b = collect(dom, cp, rcut, true, &shared);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(flat.accepted, shared.accepted);
-  EXPECT_EQ(flat.chain_candidates, shared.chain_candidates);
-  EXPECT_LE(shared.search_steps, flat.search_steps);
+  for (const char* kind : collapsed ? std::array{"SC", "RC"}
+                                    : std::array{"FS", "OC"}) {
+    const Pattern psi = make_kind(kind, n);
+    const CellDomain dom =
+        make_serial_domain(grid, halo_for(psi), s.pos, s.type);
+    TupleCounters flat, shared;
+    const TupleSet a =
+        collect(dom, psi, rcut, CompiledPattern::Mode::kPerPath, &flat);
+    const TupleSet b =
+        collect(dom, psi, rcut, CompiledPattern::Mode::kMerged, &shared);
+    EXPECT_FALSE(a.empty()) << kind;
+    EXPECT_EQ(a, b) << kind;
+    EXPECT_EQ(flat.accepted, shared.accepted) << kind;
+    EXPECT_EQ(flat.chain_candidates, shared.chain_candidates) << kind;
+    EXPECT_LE(shared.search_steps, flat.search_steps) << kind;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PatternsAndLengths, TrieEquivalenceTest,
-    ::testing::Combine(::testing::Values(2, 3, 4), ::testing::Bool()));
+    ::testing::Combine(::testing::Values(2, 3, 4, 5), ::testing::Bool()));
+
+TEST(TrieStructureTest, PerPathBuildsNoTrie) {
+  const CompiledPattern flat(make_sc(3));
+  EXPECT_FALSE(flat.merged());
+  EXPECT_TRUE(flat.nodes().empty());
+  EXPECT_EQ(flat.root_end(), 0);
+}
+
+TEST(TrieStructureTest, SlotsNameTheDistinctOffsets) {
+  // Reach-1 SC(3) paths span offsets 0..2 per axis: 27 distinct cells.
+  const CompiledPattern cp(make_sc(3), CompiledPattern::Mode::kMerged);
+  EXPECT_EQ(cp.offsets().size(), 27u);
+  for (const CompiledPath& p : cp.paths()) {
+    for (int k = 0; k < p.n; ++k) {
+      EXPECT_EQ(cp.offsets()[static_cast<std::size_t>(p.slot[k])], p.v[k]);
+    }
+  }
+  for (const TrieNode& node : cp.nodes()) {
+    EXPECT_EQ(cp.offsets()[static_cast<std::size_t>(node.slot)], node.v);
+  }
+}
 
 TEST(TrieStructureTest, FullShellSharesTheRoot) {
   // All FS paths start at v0 = 0: a single root.
-  const CompiledPattern fs(generate_fs(3));
+  const CompiledPattern fs(generate_fs(3), CompiledPattern::Mode::kMerged);
   EXPECT_EQ(fs.root_end(), 1);
   // Node count = trie size: 1 + 27 + 729 for FS(3).
   EXPECT_EQ(fs.nodes().size(), 1u + 27u + 729u);
@@ -89,13 +131,13 @@ TEST(TrieStructureTest, FullShellSharesTheRoot) {
 TEST(TrieStructureTest, OcShiftScattersRoots) {
   // OC-shift translates paths individually, destroying the common root —
   // the structural reason prefix sharing helps FS more than SC.
-  const CompiledPattern sc(make_sc(3));
+  const CompiledPattern sc(make_sc(3), CompiledPattern::Mode::kMerged);
   EXPECT_GT(sc.root_end(), 1);
 }
 
 TEST(TrieStructureTest, LeafCountEqualsPathCount) {
   for (const Pattern& psi : {make_sc(3), generate_fs(2), make_sc(4)}) {
-    const CompiledPattern cp(psi);
+    const CompiledPattern cp(psi, CompiledPattern::Mode::kMerged);
     std::size_t leaves = 0;
     for (const TrieNode& node : cp.nodes()) {
       if (node.child_begin == node.child_end) ++leaves;

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "pattern/generate.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace scmd {
@@ -62,6 +63,17 @@ TEST(CompiledPatternTest, GuardsFollowCollapseState) {
   guarded = 0;
   for (const CompiledPath& p : fs.paths()) guarded += p.guard;
   EXPECT_EQ(guarded, 27);  // every full-shell path is guarded
+}
+
+TEST(CompiledPatternTest, RejectsLengthsTheEnumeratorLacks) {
+  // The enumerator is instantiated for n = 2..5, so a longer pattern is
+  // refused when it is compiled, not mid-run.
+  Path p;
+  for (int k = 0; k < 6; ++k) p.push_back({0, k, 0});
+  Pattern six(6);
+  six.add(p);
+  EXPECT_THROW(CompiledPattern{six}, Error);
+  EXPECT_THROW((CompiledPattern{six, CompiledPattern::Mode::kMerged}), Error);
 }
 
 TEST(CompiledPatternTest, RequiredHaloMatchesPattern) {
